@@ -132,7 +132,7 @@ BM_TraceGeneration(benchmark::State& state)
 
 /**
  * Serial-vs-parallel grid sweep: the full policy matrix across the
- * cache-size axis on one trace, replayed by the ParallelExecutor at
+ * cache-size axis on one trace, replayed by the per-cell engine at
  * the thread count given by the benchmark argument.  Compare
  * /threads:1 against /threads:N for the executor speedup; the
  * "speedup vs serial" counter reports wall time relative to the
@@ -152,16 +152,16 @@ BM_GridSweepParallel(benchmark::State& state)
             configs.push_back(c);
         }
     }
-    std::vector<sim::SweepJob> grid;
+    std::vector<sim::Request> grid;
     for (const core::CacheConfig& c : configs)
         grid.push_back({&trace, c, false});
 
     // Serial reference: a plain loop with no executor at all.
     static double serial_seconds = [&] {
         auto start = std::chrono::steady_clock::now();
-        for (const sim::SweepJob& job : grid) {
-            sim::RunResult r =
-                sim::runTrace(*job.trace, job.config, job.flushAtEnd);
+        for (const sim::Request& request : grid) {
+            sim::RunResult r = sim::runTrace(
+                *request.trace, request.config, request.flushAtEnd);
             benchmark::DoNotOptimize(r.instructions);
         }
         return std::chrono::duration<double>(
@@ -169,12 +169,13 @@ BM_GridSweepParallel(benchmark::State& state)
             .count();
     }();
 
-    auto threads = static_cast<unsigned>(state.range(0));
-    sim::ParallelExecutor executor(threads);
+    sim::BatchOptions options;
+    options.engine = sim::Engine::PerCell;
+    options.jobs = static_cast<unsigned>(state.range(0));
     Count total = 0;
     double wall = 0.0;
     for (auto _ : state) {
-        sim::SweepOutcome outcome = executor.run(grid);
+        sim::BatchOutcome outcome = sim::runBatch(grid, options);
         total += outcome.report.totalInstructions();
         wall += outcome.report.wallSeconds;
         benchmark::DoNotOptimize(outcome.results.data());

@@ -1,29 +1,28 @@
 /**
  * @file
- * The reactor-driven jcached TCP front end.
+ * The jcached TCP front end.
  *
- * AsyncServer replaces the thread-per-connection Server with a single
- * event-loop thread: every connection is a nonblocking socket
- * registered with a net::Reactor, reads feed a per-connection
- * FrameDecoder, and each decoded frame is dispatched through
- * Service::handleAsync() without ever blocking the loop.  Requests on
- * one connection may therefore be *pipelined* — the client sends
- * several frames back to back — and responses are written back in
- * request order via a per-connection slot queue, whatever order the
- * scheduler completes them in.
+ * AsyncServer runs on a single event-loop thread: every connection is
+ * a nonblocking socket registered with a net::Reactor, reads feed a
+ * per-connection FrameDecoder, and each decoded frame is dispatched
+ * through Service::handleAsync() without ever blocking the loop.
+ * Requests on one connection may therefore be *pipelined* — the
+ * client sends several frames back to back — and responses are
+ * written back in request order via a per-connection slot queue,
+ * whatever order the scheduler completes them in.
  *
- * Job execution is unchanged: handleAsync() routes run/sweep/batch/
- * upload through the same bounded queue and admission controller as
- * the blocking path, so the overload contract (busy + retry_after_ms,
- * CoDel shed, deadline_exceeded) is identical between front ends.
- * Completions hop back to the loop thread through Reactor::post().
+ * handleAsync() routes run/sweep/batch/upload through the service's
+ * bounded queue and admission controller, so the overload contract
+ * (busy + retry_after_ms, CoDel shed, deadline_exceeded) is the same
+ * as for in-process Service::handle() callers.  Completions hop back
+ * to the loop thread through Reactor::post().
  *
- * The protocol-robustness contract matches the threaded server: an
- * oversized or truncated frame is answered best-effort (after any
- * in-flight responses, preserving order) and closes only that
- * connection; shutdown — requestStop() or an in-band `shutdown`
- * request — stops accepting, answers frames already received, and
- * drains within a bounded grace period.
+ * A misbehaving client costs only its own connection: an oversized or
+ * truncated frame is answered best-effort (after any in-flight
+ * responses, preserving order) and closes only that connection.
+ * Shutdown — requestStop() or an in-band `shutdown` request — stops
+ * accepting, answers frames already received, and drains within a
+ * bounded grace period.
  */
 
 #ifndef JCACHE_SERVICE_ASYNC_SERVER_HH
@@ -54,8 +53,7 @@ struct AsyncServerConfig
     /**
      * Connection idle timeout in milliseconds: a connection with no
      * in-flight requests and no traffic for this long is closed.
-     * Unlike the threaded server's per-read timeout, time spent
-     * waiting on a queued job never counts as idle.
+     * Time spent waiting on a queued job never counts as idle.
      */
     unsigned connectionTimeoutMillis = 30000;
 

@@ -67,9 +67,8 @@ double sweepMetricValue(const std::string& metric,
 bool isSweepMetric(const std::string& metric);
 
 /**
- * Canonical text of a configuration for digesting and checkpoint
- * compatibility checks: every field that changes replay results, in
- * fixed order.  Two configs produce equal keys iff a replay through
+ * Canonical text of a configuration for digesting into result
+ * keys: every field that changes replay results, in fixed order.  Two configs produce equal keys iff a replay through
  * them is bit-for-bit identical.
  */
 std::string canonicalConfigKey(const core::CacheConfig& config);

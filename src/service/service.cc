@@ -609,19 +609,20 @@ std::string
 Service::handle(const std::string& request_json)
 {
     // The blocking shape, rebuilt over the async one: park this
-    // thread until the completion fires.  Thread-per-connection
-    // transports and tests keep their call-and-wait contract; only
-    // the reactor uses handleAsync directly.
+    // thread until the completion fires.  In-process callers and
+    // tests keep their call-and-wait contract; the reactor uses
+    // handleAsync directly.
     std::mutex done_mutex;
     std::condition_variable done_cv;
     bool finished = false;
     std::string response;
     handleAsync(request_json, [&](std::string text) {
-        {
-            std::lock_guard<std::mutex> lock(done_mutex);
-            response = std::move(text);
-            finished = true;
-        }
+        // Notify under the lock: once `finished` is visible this
+        // frame may return and destroy done_cv, so an unlocked
+        // notify could touch a dead condition variable.
+        std::lock_guard<std::mutex> lock(done_mutex);
+        response = std::move(text);
+        finished = true;
         done_cv.notify_one();
     });
     std::unique_lock<std::mutex> lock(done_mutex);

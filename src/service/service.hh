@@ -251,8 +251,8 @@ class Service
     /**
      * Process one request document and return the response document.
      * Never throws: malformed input produces an `ok: false` response.
-     * A blocking wrapper over handleAsync() for thread-per-connection
-     * transports and tests.
+     * A blocking wrapper over handleAsync() for in-process callers
+     * and tests.
      */
     std::string handle(const std::string& request_json);
 

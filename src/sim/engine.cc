@@ -64,16 +64,23 @@ BatchOutcome
 runBatchPerCell(const std::vector<Request>& requests,
                 const BatchOptions& options)
 {
-    std::vector<SweepJob> grid;
-    grid.reserve(requests.size());
-    for (const Request& request : requests)
-        grid.push_back(
-            SweepJob{request.trace, request.config, request.flushAtEnd});
+    BatchOutcome outcome;
+    outcome.results.resize(requests.size());
+    std::mutex complete_mutex;
 
-    ParallelExecutor executor(options.jobs, options.progress);
-    SweepOutcome outcome = executor.run(grid);
-    return BatchOutcome{std::move(outcome.results),
-                        std::move(outcome.report)};
+    ParallelExecutor executor(options.jobs);
+    outcome.report = executor.runTasks(
+        requests.size(), [&](std::size_t i) {
+            const Request& request = requests[i];
+            outcome.results[i] = runTrace(
+                *request.trace, request.config, request.flushAtEnd);
+            if (options.onComplete) {
+                std::lock_guard<std::mutex> lock(complete_mutex);
+                options.onComplete(i, outcome.results[i]);
+            }
+            return outcome.results[i].instructions;
+        });
+    return outcome;
 }
 
 BatchOutcome
@@ -133,8 +140,7 @@ runBatchOnePass(const std::vector<Request>& requests,
     std::vector<JobTiming> timings(requests.size());
     std::vector<double> chunkWall(chunks.size(), 0.0);
 
-    std::mutex progress_mutex;
-    std::size_t done = 0;
+    std::mutex complete_mutex;
 
     ParallelExecutor executor(options.jobs);
     SweepReport chunk_report = executor.runTasks(
@@ -155,13 +161,11 @@ runBatchOnePass(const std::vector<Request>& requests,
                     timings[ri].instructions = results[k].instructions;
                 }
             }
-            if (options.progress) {
-                std::size_t covered = 0;
-                for (std::size_t k = 0; k < chunk.count; ++k)
-                    covered += group.covers[chunk.first + k].size();
-                std::lock_guard<std::mutex> lock(progress_mutex);
-                done += covered;
-                options.progress(done, requests.size());
+            if (options.onComplete) {
+                std::lock_guard<std::mutex> lock(complete_mutex);
+                for (std::size_t k = 0; k < results.size(); ++k)
+                    for (std::size_t ri : group.covers[chunk.first + k])
+                        options.onComplete(ri, results[k]);
             }
             return replayed;
         });

@@ -3,10 +3,10 @@
  * The unified simulation entry point: Request in, Result out.
  *
  * Every caller that wants a replay — the CLI tools, the jcached
- * service, the figure experiments, checkpoint resume — goes through
- * runOne() / runBatch().  Callers describe *what* to simulate (a
- * Request names a trace, a configuration and the end-of-run flush
- * choice); the engine decides *how*:
+ * service, the figure experiments — goes through runOne() /
+ * runBatch().  Callers describe *what* to simulate (a Request names a
+ * trace, a configuration and the end-of-run flush choice); the engine
+ * decides *how*:
  *
  *  - Engine::OnePass (the default) groups a batch's requests by
  *    trace, deduplicates identical cells, and replays each trace once
@@ -17,11 +17,16 @@
  *    `--engine percell` as the reference and escape hatch.
  *
  * Both engines produce byte-identical Results for the same Request.
+ * A caller that wants results before the whole batch finishes (a
+ * sweep publishing cells to the result store as they land) sets
+ * BatchOptions::onComplete.
  */
 
 #ifndef JCACHE_SIM_ENGINE_HH
 #define JCACHE_SIM_ENGINE_HH
 
+#include <cstddef>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -82,6 +87,17 @@ struct Request
  */
 using Result = RunResult;
 
+/**
+ * Called with (request index, result) once for each request of a
+ * batch that succeeds, as soon as the work that computed it finishes:
+ * a one-pass chunk (every request its lanes serve, duplicates
+ * included) or a single per-cell replay.  Never called for a failed
+ * request.  Calls are serialized, so callbacks need no locking of
+ * their own; an exception thrown by one fails the work it reports,
+ * like a replay error would.
+ */
+using CompletionFn = std::function<void(std::size_t, const Result&)>;
+
 /** Knobs for runBatch(). */
 struct BatchOptions
 {
@@ -90,8 +106,8 @@ struct BatchOptions
     /** Worker threads; 0 selects defaultJobs(). */
     unsigned jobs = 0;
 
-    /** Optional completion callback, (done, total) in requests. */
-    ProgressFn progress = nullptr;
+    /** Optional per-request completion callback. */
+    CompletionFn onComplete = nullptr;
 };
 
 /** Results plus observability of one batch. */
@@ -124,8 +140,8 @@ Result runOne(const Request& request, Engine engine = kDefaultEngine);
  *
  * Results are keyed by request index, so output is bit-for-bit
  * independent of thread count and engine.  A request whose replay
- * throws fails alone — its slot holds a default Result and the
- * failure is recorded in the report.
+ * throws fails alone — its slot holds a default Result, the failure
+ * is recorded in the report, and options.onComplete never sees it.
  */
 BatchOutcome runBatch(const std::vector<Request>& requests,
                       const BatchOptions& options = {});

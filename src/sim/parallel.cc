@@ -158,10 +158,8 @@ SweepReport::summary() const
     return oss.str();
 }
 
-ParallelExecutor::ParallelExecutor(unsigned threads,
-                                   ProgressFn progress)
-    : threads_(threads == 0 ? defaultJobs() : threads),
-      progress_(std::move(progress))
+ParallelExecutor::ParallelExecutor(unsigned threads)
+    : threads_(threads == 0 ? defaultJobs() : threads)
 {
 }
 
@@ -185,8 +183,6 @@ ParallelExecutor::runTasks(
 
     Clock::time_point grid_start = Clock::now();
     std::atomic<std::size_t> cursor{0};
-    std::atomic<std::size_t> done{0};
-    std::mutex progress_mutex;
     std::mutex failures_mutex;
 
     auto worker = [&]() {
@@ -230,11 +226,6 @@ ParallelExecutor::runTasks(
                     cell_failures.inc();
                 cell_seconds.observe(report.timings[i].wallSeconds);
             }
-            std::size_t completed = done.fetch_add(1) + 1;
-            if (progress_) {
-                std::lock_guard<std::mutex> lock(progress_mutex);
-                progress_(completed, count);
-            }
         }
     };
 
@@ -255,20 +246,6 @@ ParallelExecutor::runTasks(
                   return a.index < b.index;
               });
     return report;
-}
-
-SweepOutcome
-ParallelExecutor::run(const std::vector<SweepJob>& grid) const
-{
-    SweepOutcome outcome;
-    outcome.results.resize(grid.size());
-    outcome.report = runTasks(grid.size(), [&](std::size_t i) {
-        const SweepJob& job = grid[i];
-        outcome.results[i] =
-            runTrace(*job.trace, job.config, job.flushAtEnd);
-        return outcome.results[i].instructions;
-    });
-    return outcome;
 }
 
 } // namespace jcache::sim

@@ -5,10 +5,11 @@
  * Every figure in the paper is a sweep over {cache size x line size x
  * write policy x benchmark}, and each point is an independent replay:
  * the grid is embarrassingly parallel.  ParallelExecutor fans a grid
- * of SweepJobs out over a fixed-size std::thread pool and collects the
- * RunResults into deterministically ordered output — results are keyed
- * by grid index, never by completion order, so an N-thread sweep is
- * bit-for-bit identical to a 1-thread sweep.
+ * of tasks out over a fixed-size std::thread pool; tasks write their
+ * results into per-index slots — keyed by grid index, never by
+ * completion order — so an N-thread sweep is bit-for-bit identical to
+ * a 1-thread sweep.  The engine (sim/engine.hh) drives it for both
+ * the per-cell and the one-pass batch paths.
  *
  * Observability rides along: every run produces a SweepReport with
  * per-job wall time, replayed-instruction throughput and thread
@@ -21,11 +22,10 @@
 #include <cstddef>
 #include <functional>
 #include <ostream>
+#include <string>
 #include <vector>
 
-#include "core/config.hh"
-#include "sim/run.hh"
-#include "trace/trace.hh"
+#include "util/types.hh"
 
 namespace jcache::sim
 {
@@ -112,53 +112,23 @@ struct SweepReport
     std::string summary() const;
 };
 
-/** One point of a sweep grid: a trace through a configuration. */
-struct SweepJob
-{
-    const trace::Trace* trace = nullptr;
-    core::CacheConfig config;
-    bool flushAtEnd = false;
-};
-
-/** Results and observability of one executed grid. */
-struct SweepOutcome
-{
-    /** One RunResult per job, ordered by grid index. */
-    std::vector<RunResult> results;
-
-    SweepReport report;
-};
-
-/**
- * Called after each job completes with (done, total); serialized, so
- * callbacks need no locking of their own.
- */
-using ProgressFn = std::function<void(std::size_t, std::size_t)>;
-
 /**
  * Fixed-size thread pool over a sweep grid.
  *
- * Workers claim jobs from a shared atomic cursor and write each result
- * into its grid slot, so output order is independent of scheduling.
- * The pool is sized once at construction; run() and runTasks() may be
- * called repeatedly and spin the pool up per call (replays are
+ * Workers claim tasks from a shared atomic cursor and write each
+ * result into its grid slot, so output order is independent of
+ * scheduling.  The pool is sized once at construction; runTasks() may
+ * be called repeatedly and spins the pool up per call (replays are
  * milliseconds to seconds, thread start-up is microseconds).
  */
 class ParallelExecutor
 {
   public:
-    /**
-     * @param threads  worker count; 0 selects defaultJobs().
-     * @param progress optional per-job completion callback.
-     */
-    explicit ParallelExecutor(unsigned threads = 0,
-                              ProgressFn progress = nullptr);
+    /** @param threads worker count; 0 selects defaultJobs(). */
+    explicit ParallelExecutor(unsigned threads = 0);
 
     /** Configured worker count (before clamping to a grid's size). */
     unsigned threads() const { return threads_; }
-
-    /** Replay every job in the grid; results keyed by grid index. */
-    SweepOutcome run(const std::vector<SweepJob>& grid) const;
 
     /**
      * Generic fan-out: invoke task(i) for i in [0, count) across the
@@ -175,7 +145,6 @@ class ParallelExecutor
 
   private:
     unsigned threads_;
-    ProgressFn progress_;
 };
 
 } // namespace jcache::sim

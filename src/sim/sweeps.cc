@@ -1,7 +1,6 @@
 /**
  * @file
- * Implementation of sweep axes, grid builders and the shared trace
- * set.
+ * Implementation of sweep axes and the shared trace set.
  */
 
 #include "sim/sweeps.hh"
@@ -142,20 +141,6 @@ buildAxisPoints(const std::string& axis,
         fatal("unknown sweep axis: " + axis + " (use size|line|assoc)");
     }
     return points;
-}
-
-std::vector<SweepJob>
-buildGrid(const TraceSet& traces,
-          const std::vector<core::CacheConfig>& configs,
-          bool flush_at_end)
-{
-    std::vector<SweepJob> grid;
-    grid.reserve(traces.size() * configs.size());
-    for (const trace::Trace& t : traces.traces()) {
-        for (const core::CacheConfig& c : configs)
-            grid.push_back({&t, c, flush_at_end});
-    }
-    return grid;
 }
 
 } // namespace jcache::sim

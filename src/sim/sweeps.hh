@@ -1,6 +1,6 @@
 /**
  * @file
- * Sweep axes, grid builders and the shared trace set.
+ * Sweep axes and the shared trace set.
  *
  * The paper sweeps two axes: cache size 1KB-128KB at 16B lines, and
  * line size 4B-64B at 8KB.  TraceSet generates the six benchmark
@@ -17,7 +17,7 @@
 #include <utility>
 #include <vector>
 
-#include "sim/parallel.hh"
+#include "core/config.hh"
 #include "trace/trace.hh"
 #include "workloads/workload.hh"
 
@@ -103,17 +103,6 @@ struct AxisPoints
  */
 AxisPoints buildAxisPoints(const std::string& axis,
                            const core::CacheConfig& base);
-
-/**
- * Build a replay grid: the cross product of every trace in the set
- * with every configuration, trace-major (all configs of trace 0, then
- * trace 1, ...).  Feed the result to ParallelExecutor::run(); index
- * back with trace_index * configs.size() + config_index.
- */
-std::vector<SweepJob>
-buildGrid(const TraceSet& traces,
-          const std::vector<core::CacheConfig>& configs,
-          bool flush_at_end = false);
 
 } // namespace jcache::sim
 

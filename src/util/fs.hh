@@ -2,14 +2,13 @@
  * @file
  * Crash-safe filesystem primitives.
  *
- * Every durable artifact in the system — sweep checkpoints, saved
- * traces, result-store blobs and indexes — follows the same write
+ * Every durable artifact in the system — saved traces, replay
+ * caches, result-store blobs and indexes — follows the same write
  * discipline: write the full document to `<path>.tmp`, flush and
  * fsync it, then rename() it over the final path.  The visible file
  * is therefore always a complete document; a crash mid-write costs
  * the update, never the previous version.  This header is the one
- * implementation of that discipline (it replaced per-layer copies in
- * the checkpoint and trace writers).
+ * implementation of that discipline.
  *
  * Torn writes are still a real failure mode (a disk that
  * acknowledges an fsync it did not perform, a kernel crash after the

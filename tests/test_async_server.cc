@@ -1,10 +1,12 @@
 /**
  * @file
- * Tests for the reactor front end (service/async_server.hh): the
- * same protocol-robustness attacks as test_server.cc, plus what only
- * a nonblocking front end can promise — pipelined requests answered
- * in order on one connection, connection metrics in the stats node
- * block, and identical behaviour under the poll fallback backend.
+ * Tests for the jcached front end (service/async_server.hh): a real
+ * AsyncServer on an ephemeral loopback port, attacked with truncated
+ * frames, oversized prefixes, malformed JSON and mid-response
+ * disconnects — a misbehaving client costs its own connection, never
+ * the daemon — plus pipelined requests answered in order on one
+ * connection, connection metrics in the stats node block, and
+ * identical behaviour under the poll fallback backend.
  */
 
 #include <atomic>
@@ -196,6 +198,20 @@ TEST_P(AsyncServerTest, TruncatedFrameClosesOnlyThatConnection)
     expectStillServing();
 }
 
+TEST_P(AsyncServerTest, TruncatedPrefixClosesOnlyThatConnection)
+{
+    {
+        net::Socket socket = connect();
+        std::string two_bytes = framePrefix(100).substr(0, 2);
+        ASSERT_TRUE(
+            socket.writeAll(two_bytes.data(), two_bytes.size()).ok());
+        socket.shutdownWrite();
+        std::string response;
+        net::readFrame(socket, response);  // drain best-effort reply
+    }
+    expectStillServing();
+}
+
 TEST_P(AsyncServerTest, OversizedPrefixIsRejected)
 {
     {
@@ -211,6 +227,22 @@ TEST_P(AsyncServerTest, OversizedPrefixIsRejected)
         EXPECT_EQ(v.getString("code"), "frame_oversized");
     }
     expectStillServing();
+}
+
+TEST_P(AsyncServerTest, ProtocolErrorsShowInStats)
+{
+    {
+        net::Socket socket = connect();
+        std::string huge = framePrefix(net::kMaxFrameBytes + 1);
+        ASSERT_TRUE(socket.writeAll(huge.data(), huge.size()).ok());
+        std::string response;
+        net::readFrame(socket, response);
+    }
+    JsonValue stats = exchange("{\"type\": \"stats\"}");
+    ASSERT_TRUE(stats.getBool("ok", false));
+    EXPECT_GE(stats.get("payload").get("requests").getNumber(
+                  "protocol_errors", 0),
+              1.0);
 }
 
 TEST_P(AsyncServerTest, ViolationAfterPipelinedFramesAnswersThemFirst)

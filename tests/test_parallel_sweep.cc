@@ -1,19 +1,23 @@
 /**
  * @file
- * Tests for the parallel sweep executor: determinism across thread
- * counts, oversubscription, report accounting, and CSV/JSON export.
+ * Tests for the parallel sweep executor and the batch fan-out built on
+ * it: determinism across thread counts, oversubscription, report
+ * accounting, CSV/JSON export, and the per-request completion
+ * callback under both engines.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 
+#include "service/render.hh"
+#include "sim/engine.hh"
 #include "sim/parallel.hh"
 #include "sim/sweeps.hh"
+#include "stats/json.hh"
 #include "trace/recorder.hh"
 
 namespace jcache::sim
@@ -64,16 +68,38 @@ policyMatrixConfigs()
     return configs;
 }
 
-std::vector<SweepJob>
+/** Every trace crossed with every configuration, trace-major. */
+std::vector<Request>
 matrixGrid(const std::vector<trace::Trace>& traces,
            const std::vector<CacheConfig>& configs)
 {
-    std::vector<SweepJob> grid;
+    std::vector<Request> grid;
     for (const trace::Trace& t : traces) {
         for (const CacheConfig& c : configs)
             grid.push_back({&t, c, true});
     }
     return grid;
+}
+
+BatchOutcome
+runPerCell(const std::vector<Request>& grid, unsigned jobs)
+{
+    BatchOptions options;
+    options.engine = Engine::PerCell;
+    options.jobs = jobs;
+    return runBatch(grid, options);
+}
+
+/** Canonical wire text of one result, for byte comparisons. */
+std::string
+resultText(const RunResult& result)
+{
+    std::ostringstream oss;
+    stats::JsonWriter json(oss);
+    json.beginObject();
+    service::writeRunResult(json, "result", result);
+    json.endObject();
+    return oss.str();
 }
 
 /** Field-by-field equality of everything a RunResult carries. */
@@ -115,17 +141,17 @@ expectIdentical(const RunResult& a, const RunResult& b)
     traffic_eq(a.flushTraffic, b.flushTraffic);
 }
 
-TEST(ParallelExecutor, MultiThreadMatchesSingleThreadExactly)
+TEST(PerCellBatch, MultiThreadMatchesSingleThreadExactly)
 {
     std::vector<trace::Trace> traces;
     traces.push_back(mixedTrace("alpha", 1));
     traces.push_back(mixedTrace("beta", 5));
     traces.push_back(mixedTrace("gamma", 11));
-    std::vector<SweepJob> grid =
+    std::vector<Request> grid =
         matrixGrid(traces, policyMatrixConfigs());
 
-    SweepOutcome serial = ParallelExecutor(1).run(grid);
-    SweepOutcome wide = ParallelExecutor(4).run(grid);
+    BatchOutcome serial = runPerCell(grid, 1);
+    BatchOutcome wide = runPerCell(grid, 4);
 
     ASSERT_EQ(serial.results.size(), grid.size());
     ASSERT_EQ(wide.results.size(), grid.size());
@@ -133,29 +159,29 @@ TEST(ParallelExecutor, MultiThreadMatchesSingleThreadExactly)
         expectIdentical(serial.results[i], wide.results[i]);
 }
 
-TEST(ParallelExecutor, OversubscribedPoolStillCoversEveryJob)
+TEST(PerCellBatch, OversubscribedPoolStillCoversEveryJob)
 {
     std::vector<trace::Trace> traces;
     traces.push_back(mixedTrace("tiny", 3));
     std::vector<CacheConfig> configs(3);  // 3-job grid
-    std::vector<SweepJob> grid = matrixGrid(traces, configs);
+    std::vector<Request> grid = matrixGrid(traces, configs);
 
     // Far more threads than jobs: every job must still run exactly
     // once and the report must reflect the clamped pool.
-    SweepOutcome outcome = ParallelExecutor(16).run(grid);
+    BatchOutcome outcome = runPerCell(grid, 16);
     ASSERT_EQ(outcome.results.size(), 3u);
     EXPECT_EQ(outcome.report.threads, 3u);
     for (const RunResult& r : outcome.results)
         EXPECT_GT(r.instructions, 0u);
 
-    SweepOutcome reference = ParallelExecutor(1).run(grid);
+    BatchOutcome reference = runPerCell(grid, 1);
     for (std::size_t i = 0; i < grid.size(); ++i)
         expectIdentical(reference.results[i], outcome.results[i]);
 }
 
-TEST(ParallelExecutor, EmptyGrid)
+TEST(PerCellBatch, EmptyGrid)
 {
-    SweepOutcome outcome = ParallelExecutor(4).run({});
+    BatchOutcome outcome = runPerCell({}, 4);
     EXPECT_TRUE(outcome.results.empty());
     EXPECT_EQ(outcome.report.jobs(), 0u);
     EXPECT_EQ(outcome.report.totalInstructions(), 0u);
@@ -173,14 +199,14 @@ TEST(ParallelExecutor, RunTasksVisitsEachIndexOnce)
         EXPECT_EQ(v.load(), 1);
 }
 
-TEST(ParallelExecutor, ReportAccountsInstructionsAndUtilization)
+TEST(PerCellBatch, ReportAccountsInstructionsAndUtilization)
 {
     std::vector<trace::Trace> traces;
     traces.push_back(mixedTrace("acct", 7));
     std::vector<CacheConfig> configs(4);
-    std::vector<SweepJob> grid = matrixGrid(traces, configs);
+    std::vector<Request> grid = matrixGrid(traces, configs);
 
-    SweepOutcome outcome = ParallelExecutor(2).run(grid);
+    BatchOutcome outcome = runPerCell(grid, 2);
     const SweepReport& report = outcome.report;
     ASSERT_EQ(report.jobs(), grid.size());
 
@@ -240,21 +266,86 @@ TEST(ParallelExecutor, AllSucceededOnCleanGrid)
     EXPECT_EQ(report.summary().find("FAILED"), std::string::npos);
 }
 
-TEST(ParallelExecutor, ProgressCallbackSeesEveryCompletion)
+TEST(BatchCompletion, SeesEveryRequestOnceWithItsResult)
 {
-    std::vector<std::size_t> seen;
-    ParallelExecutor executor(
-        4, [&](std::size_t done, std::size_t total) {
-            EXPECT_EQ(total, 10u);
-            seen.push_back(done);
-        });
-    executor.runTasks(10, [](std::size_t) { return Count{0}; });
-    ASSERT_EQ(seen.size(), 10u);
-    // Callbacks are serialized; done counts are the 1..10 set in some
-    // completion order, ending at 10.
-    std::sort(seen.begin(), seen.end());
-    for (std::size_t i = 0; i < seen.size(); ++i)
-        EXPECT_EQ(seen[i], i + 1);
+    std::vector<trace::Trace> traces;
+    traces.push_back(mixedTrace("alpha", 1));
+    traces.push_back(mixedTrace("beta", 5));
+    std::vector<Request> grid =
+        matrixGrid(traces, policyMatrixConfigs());
+    // Duplicate cells: the one-pass engine serves all three requests
+    // from one shared lane, and each must still be reported.
+    grid.push_back(grid[3]);
+    grid.push_back(grid[3]);
+
+    for (Engine engine : {Engine::PerCell, Engine::OnePass}) {
+        for (unsigned jobs : {1u, 4u}) {
+            SCOPED_TRACE(name(engine) + " jobs " + std::to_string(jobs));
+            // Calls are serialized by runBatch, so plain counters
+            // suffice (TSan checks that promise).
+            std::vector<unsigned> calls(grid.size(), 0);
+            std::vector<std::string> seen(grid.size());
+            BatchOptions options;
+            options.engine = engine;
+            options.jobs = jobs;
+            options.onComplete = [&](std::size_t i, const Result& r) {
+                ASSERT_LT(i, grid.size());
+                ++calls[i];
+                seen[i] = resultText(r);
+            };
+            BatchOutcome outcome = runBatch(grid, options);
+            ASSERT_TRUE(outcome.ok());
+            for (std::size_t i = 0; i < grid.size(); ++i) {
+                EXPECT_EQ(calls[i], 1u) << "request " << i;
+                EXPECT_EQ(seen[i], resultText(outcome.results[i]))
+                    << "request " << i;
+            }
+        }
+    }
+}
+
+TEST(BatchCompletion, FailedRequestsNeverReachTheCallback)
+{
+    // Interleave two traces; every request against `broken` carries
+    // an invalid configuration (size not a power of two), so its
+    // cells — and under one-pass its whole chunks — fail.
+    trace::Trace healthy = mixedTrace("healthy", 2);
+    trace::Trace broken = mixedTrace("broken", 9);
+    std::vector<Request> grid;
+    std::vector<std::size_t> healthy_indices;
+    std::vector<std::size_t> broken_indices;
+    for (CacheConfig config : policyMatrixConfigs()) {
+        healthy_indices.push_back(grid.size());
+        grid.push_back({&healthy, config, true});
+        config.sizeBytes += 1;
+        broken_indices.push_back(grid.size());
+        grid.push_back({&broken, config, true});
+    }
+
+    for (Engine engine : {Engine::PerCell, Engine::OnePass}) {
+        for (unsigned jobs : {1u, 4u}) {
+            SCOPED_TRACE(name(engine) + " jobs " + std::to_string(jobs));
+            std::vector<unsigned> calls(grid.size(), 0);
+            BatchOptions options;
+            options.engine = engine;
+            options.jobs = jobs;
+            options.onComplete = [&](std::size_t i, const Result&) {
+                ASSERT_LT(i, grid.size());
+                ++calls[i];
+            };
+            BatchOutcome outcome = runBatch(grid, options);
+
+            for (std::size_t i : healthy_indices)
+                EXPECT_EQ(calls[i], 1u) << "healthy request " << i;
+            for (std::size_t i : broken_indices)
+                EXPECT_EQ(calls[i], 0u) << "broken request " << i;
+            ASSERT_EQ(outcome.report.failures.size(),
+                      broken_indices.size());
+            for (std::size_t k = 0; k < broken_indices.size(); ++k)
+                EXPECT_EQ(outcome.report.failures[k].index,
+                          broken_indices[k]);
+        }
+    }
 }
 
 TEST(SweepReport, CsvHasHeaderAndOneRowPerJob)

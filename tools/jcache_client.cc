@@ -361,14 +361,17 @@ exchangeWithRetry(const Transport& t,
             else if (sleep_for > left)
                 sleep_for = left;
         }
-        auto sleep_millis = static_cast<unsigned>(sleep_for);
         if (t.verbose) {
             std::cerr << "attempt " << attempt << "/" << attempts
                       << " failed (" << last_error << "); retrying in "
-                      << sleep_millis << " ms\n";
+                      << static_cast<unsigned>(sleep_for) << " ms\n";
         }
+        // Sleep the fractional remainder too: truncated to whole
+        // milliseconds, a sub-millisecond remainder of the budget
+        // sleeps 0 ms and fast-failing attempts spin through the
+        // attempt count before the budget check can fire.
         std::this_thread::sleep_for(
-            std::chrono::milliseconds(sleep_millis));
+            std::chrono::duration<double, std::milli>(sleep_for));
     }
     fatal(last_error + " (after " + std::to_string(tried) +
           (tried == 1 ? " attempt)" : " attempts)"));

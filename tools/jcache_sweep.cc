@@ -11,7 +11,6 @@
  *       [--jobs N] [--progress] [--json [path]]
  *       [--engine percell|onepass]
  *       [--trace-out <events.json>]
- *       [--checkpoint <file> [--checkpoint-every N] [--resume]]
  *       [--store-dir <dir> [--store-cap-bytes N] [--incremental]]
  *       [--trace-cache-dir <dir>] [--version]
  *
@@ -36,13 +35,6 @@
  * grid cell or trace pass, rendering) and writes them as Chrome
  * trace-event JSON, loadable in chrome://tracing or ui.perfetto.dev.
  *
- * --checkpoint makes the sweep crash-safe: every N completed points
- * (default 1) the finished cells are atomically persisted, and
- * --resume replays only the cells the checkpoint is missing.  A
- * resumed sweep prints a table byte-identical to an uninterrupted
- * one; resuming against a checkpoint from a different sweep (other
- * trace, axis or base config) is refused.
- *
  * --trace-cache-dir keeps a compact delta-encoded replay cache of
  * the trace (docs/ENGINE.md): the first sweep writes
  * `<digest>.jcrc` once, and every later sweep over the same trace
@@ -51,27 +43,25 @@
  * with and without the cache; the per-cell engine ignores it.
  *
  * --store-dir publishes every computed cell into the persistent
- * result store (docs/STORAGE.md), keyed exactly like the daemon's
- * cells; --incremental additionally reads the store first and
+ * result store (docs/STORAGE.md) as soon as the engine finishes it,
+ * keyed exactly like the daemon's cells; a cell that fails costs only
+ * itself.  --incremental additionally reads the store first and
  * simulates only the missing cells, reporting `store: reused R
  * cells, simulated S cells` on stderr.  A sweep over a fully
  * populated store simulates nothing and prints a table
- * byte-identical to a cold one.  The store and checkpoint paths are
- * mutually exclusive — a checkpoint belongs to one sweep, the store
- * is shared by all of them.
+ * byte-identical to a cold one — which is also how a killed sweep
+ * resumes: rerun it with --incremental.
  */
 
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
 
 #include "cli_common.hh"
-#include "service/checkpoint.hh"
 #include "service/json_value.hh"
 #include "service/render.hh"
 #include "sim/engine.hh"
@@ -106,7 +96,6 @@ usage()
         "[--miss fow|wv|wa|wi]\n"
         "  " << tools::commonUsage(kCommonFlags) << "\n"
         "  [--trace-out <events.json>]\n"
-        "  [--checkpoint <file> [--checkpoint-every N] [--resume]]\n"
         "  [--store-dir <dir> [--store-cap-bytes N] "
         "[--incremental]]\n"
         "  [--trace-cache-dir <dir>] [--version]\n";
@@ -170,9 +159,6 @@ main(int argc, char** argv)
     std::string axis = "size";
     std::string metric = "miss";
     std::string trace_out;
-    std::string checkpoint_path;
-    unsigned checkpoint_every = 1;
-    bool resume = false;
     std::string store_dir;
     std::uint64_t store_cap_bytes = 256ull << 20;
     bool incremental = false;
@@ -187,10 +173,6 @@ main(int argc, char** argv)
                                        common))
                 continue;
             std::string flag = argv[i];
-            if (flag == "--resume") {
-                resume = true;
-                continue;
-            }
             if (flag == "--incremental") {
                 incremental = true;
                 continue;
@@ -204,13 +186,6 @@ main(int argc, char** argv)
                 metric = value;
             } else if (flag == "--trace-out") {
                 trace_out = value;
-            } else if (flag == "--checkpoint") {
-                checkpoint_path = value;
-            } else if (flag == "--checkpoint-every") {
-                checkpoint_every = static_cast<unsigned>(
-                    std::strtoul(value.c_str(), nullptr, 10));
-                if (checkpoint_every == 0)
-                    checkpoint_every = 1;
             } else if (flag == "--store-dir") {
                 store_dir = value;
             } else if (flag == "--trace-cache-dir") {
@@ -235,18 +210,9 @@ main(int argc, char** argv)
 
         if (!service::isSweepMetric(metric))
             return usage();
-        if (resume && checkpoint_path.empty()) {
-            std::cerr << "error: --resume requires --checkpoint\n";
-            return usage();
-        }
         if (incremental && store_dir.empty()) {
             std::cerr << "error: --incremental requires "
                          "--store-dir\n";
-            return usage();
-        }
-        if (!store_dir.empty() && !checkpoint_path.empty()) {
-            std::cerr << "error: --store-dir and --checkpoint are "
-                         "mutually exclusive\n";
             return usage();
         }
 
@@ -286,143 +252,80 @@ main(int argc, char** argv)
         for (const core::CacheConfig& config : points.configs)
             requests.push_back({&trace, config, false, mapped.get()});
 
-        sim::ProgressFn on_progress;
-        if (common.progress) {
-            on_progress = [](std::size_t done, std::size_t total) {
-                std::cerr << "\r[" << done << "/" << total
-                          << "] points replayed" << std::flush;
-                if (done == total)
-                    std::cerr << "\n";
-            };
-        }
+        // With --store-dir, derive every cell's canonical key and
+        // reuse what the store already holds (--incremental); the
+        // remaining cells run as one batch, so the one-pass engine
+        // still shares a single decode across them.
+        std::optional<store::ResultStore> result_store;
+        std::vector<std::string> keys;
         sim::BatchOutcome outcome;
-
+        outcome.results.resize(requests.size());
+        std::vector<std::size_t> todo;
+        std::size_t reused = 0;
         if (!store_dir.empty()) {
-            // Store-backed path: derive every cell's canonical key,
-            // reuse what the store already holds (--incremental),
-            // simulate the remainder in one batch (the one-pass
-            // engine still shares a single decode across it), then
-            // publish the fresh cells.
             store::StoreConfig store_config;
             store_config.dir = store_dir;
             store_config.capBytes = store_cap_bytes;
-            store::ResultStore result_store(store_config);
+            result_store.emplace(store_config);
 
             store::KeyContext ctx;
             ctx.engine = common.engine;
             std::string identity = trace::traceIdentity(trace);
-            std::vector<std::string> keys;
-            keys.reserve(points.configs.size());
             for (const core::CacheConfig& config : points.configs)
                 keys.push_back(store::cellKey(
                     ctx, identity,
                     service::canonicalConfigKey(config), false));
-
-            outcome.results.resize(requests.size());
-            std::vector<std::size_t> todo;
-            std::size_t reused = 0;
-            for (std::size_t i = 0; i < requests.size(); ++i) {
-                if (incremental) {
-                    if (auto hit = result_store.get(keys[i])) {
-                        if (auto cached = parseCellPayload(*hit)) {
-                            outcome.results[i] = *cached;
-                            ++reused;
-                            continue;
-                        }
+        }
+        for (std::size_t i = 0; i < requests.size(); ++i) {
+            if (incremental) {
+                if (auto hit = result_store->get(keys[i])) {
+                    if (auto cached = parseCellPayload(*hit)) {
+                        outcome.results[i] = *cached;
+                        ++reused;
+                        continue;
                     }
                 }
-                todo.push_back(i);
             }
+            todo.push_back(i);
+        }
 
-            if (!todo.empty()) {
-                std::vector<sim::Request> subset;
-                subset.reserve(todo.size());
-                for (std::size_t index : todo)
-                    subset.push_back(requests[index]);
-                sim::BatchOptions options;
-                options.engine = common.engine;
-                options.jobs = common.jobs;
-                options.progress = on_progress;
-                sim::BatchOutcome fresh =
-                    sim::runBatch(subset, options);
-                for (std::size_t k = 0; k < todo.size(); ++k)
-                    outcome.results[todo[k]] =
-                        fresh.results[k];
-                // Failure indices refer to the subset; report them
-                // in sweep-point coordinates.
-                for (sim::JobFailure& f : fresh.report.failures)
-                    f.index = todo[f.index];
-                outcome.report = std::move(fresh.report);
-                if (outcome.report.allSucceeded()) {
-                    for (std::size_t index : todo)
-                        result_store.put(
-                            keys[index],
-                            cellPayload(outcome.results[index]));
-                }
-            }
-            std::cerr << "store: reused " << reused
-                      << " cells, simulated " << todo.size()
-                      << " cells\n";
-        } else if (checkpoint_path.empty()) {
+        if (!todo.empty()) {
+            std::vector<sim::Request> subset;
+            subset.reserve(todo.size());
+            for (std::size_t index : todo)
+                subset.push_back(requests[index]);
+
+            // Each cell is published and reported the moment the
+            // engine finishes it, so a killed sweep keeps every cell
+            // it completed and one failing cell discards no others.
+            std::size_t done = 0;
             sim::BatchOptions options;
             options.engine = common.engine;
             options.jobs = common.jobs;
-            options.progress = on_progress;
-            outcome = sim::runBatch(requests, options);
-        } else {
-            // Crash-safe path: replay only the cells the checkpoint
-            // is missing and persist every `checkpoint_every`
-            // completions, plus once at the end so a finished sweep
-            // leaves a complete checkpoint behind.
-            service::SweepCheckpoint plan;
-            plan.trace = trace.name();
-            plan.axis = axis;
-            plan.configKey = service::canonicalConfigKey(base);
-            plan.cells = requests.size();
-
-            service::SweepCheckpoint checkpoint = plan;
-            if (resume &&
-                std::filesystem::exists(checkpoint_path)) {
-                checkpoint =
-                    service::SweepCheckpoint::load(checkpoint_path);
-                fatalIf(!checkpoint.sameSweep(plan),
-                        "checkpoint " + checkpoint_path +
-                            " belongs to a different sweep");
-                if (common.progress) {
-                    std::cerr << "resuming: "
-                              << checkpoint.completed.size() << "/"
-                              << checkpoint.cells
-                              << " points already done\n";
-                }
-            }
-
-            std::vector<std::size_t> todo =
-                checkpoint.missingIndices();
-            outcome.results.resize(requests.size());
-            for (const auto& [index, result] : checkpoint.completed)
-                outcome.results[index] = result;
-
-            std::mutex checkpoint_mutex;
-            std::size_t since_save = 0;
-            sim::ParallelExecutor executor(common.jobs, on_progress);
-            outcome.report = executor.runTasks(
-                todo.size(), [&](std::size_t k) {
-                    std::size_t index = todo[k];
-                    outcome.results[index] =
-                        sim::runOne(requests[index], common.engine);
-                    std::lock_guard<std::mutex> lock(
-                        checkpoint_mutex);
-                    checkpoint.record(index,
-                                      outcome.results[index]);
-                    if (++since_save >= checkpoint_every) {
-                        checkpoint.save(checkpoint_path);
-                        since_save = 0;
-                    }
-                    return outcome.results[index].instructions;
-                });
-            if (outcome.report.allSucceeded())
-                checkpoint.save(checkpoint_path);
+            options.onComplete = [&](std::size_t k,
+                                     const sim::Result& result) {
+                if (result_store)
+                    result_store->put(keys[todo[k]],
+                                      cellPayload(result));
+                if (common.progress)
+                    std::cerr << "\r[" << ++done << "/" << todo.size()
+                              << "] points replayed" << std::flush;
+            };
+            sim::BatchOutcome fresh = sim::runBatch(subset, options);
+            if (done > 0)
+                std::cerr << "\n";
+            for (std::size_t k = 0; k < todo.size(); ++k)
+                outcome.results[todo[k]] = fresh.results[k];
+            // Failure indices refer to the subset; report them in
+            // sweep-point coordinates.
+            for (sim::JobFailure& f : fresh.report.failures)
+                f.index = todo[f.index];
+            outcome.report = std::move(fresh.report);
         }
+        if (result_store)
+            std::cerr << "store: reused " << reused
+                      << " cells, simulated " << todo.size()
+                      << " cells\n";
 
         if (reportFailures(outcome.report))
             return 1;

@@ -4,8 +4,7 @@
  *
  * Usage:
  *   jcached [--port N] [--port-file PATH] [--jobs N]
- *           [--engine percell|onepass]
- *           [--server reactor|threaded]
+ *           [--engine percell|onepass] [--server reactor]
  *           [--coordinator] [--workers HOST:PORT,...]
  *           [--queue N] [--cache N] [--timeout MS]
  *           [--pipeline-cap N]
@@ -22,10 +21,10 @@
  * SIGINT/SIGTERM or an in-band shutdown request, draining in-flight
  * connections on the way out.  Protocol: docs/SERVICE.md.
  *
- * --server selects the front end: `reactor` (default) multiplexes
- * every connection onto one epoll/poll event loop and supports
- * pipelined requests per connection; `threaded` restores the
- * thread-per-connection loop.  Job execution is identical either way.
+ * The front end multiplexes every connection onto one epoll/poll
+ * event loop and answers pipelined requests per connection in order;
+ * --timeout is its connection idle timeout.  `--server reactor` names
+ * that front end explicitly and is the only value --server accepts.
  *
  * --coordinator with --workers turns the daemon into a shard
  * coordinator (docs/SHARDING.md): sweep and batch grids scatter over
@@ -66,7 +65,6 @@
 
 #include "cli_common.hh"
 #include "service/async_server.hh"
-#include "service/server.hh"
 #include "service/shard.hh"
 #include "sim/sweeps.hh"
 #include "telemetry/http_exporter.hh"
@@ -80,16 +78,13 @@ namespace
 
 using namespace jcache;
 
-std::atomic<service::Server*> g_threaded{nullptr};
-std::atomic<service::AsyncServer*> g_reactor{nullptr};
+std::atomic<service::AsyncServer*> g_server{nullptr};
 
 void
 onSignal(int)
 {
     // requestStop() only stores to an atomic: async-signal-safe.
-    if (service::Server* s = g_threaded.load())
-        s->requestStop();
-    if (service::AsyncServer* s = g_reactor.load())
+    if (service::AsyncServer* s = g_server.load())
         s->requestStop();
 }
 
@@ -98,8 +93,7 @@ usage()
 {
     std::cerr <<
         "usage: jcached [--port N] [--port-file PATH] [--jobs N]\n"
-        "  [--engine percell|onepass]\n"
-        "  [--server reactor|threaded]\n"
+        "  [--engine percell|onepass] [--server reactor]\n"
         "  [--coordinator] [--workers HOST:PORT,...]\n"
         "  [--queue N] [--cache N] [--timeout MS]\n"
         "  [--pipeline-cap N]\n"
@@ -189,14 +183,11 @@ struct DaemonOptions
 };
 
 /**
- * The daemon lifecycle, shared by both front ends: start, expose
- * metrics, install signal handlers, announce the port, serve, drain,
- * flush the span trace.
+ * The daemon lifecycle: start, expose metrics, install signal
+ * handlers, announce the port, serve, drain, flush the span trace.
  */
-template <typename ServerT>
 int
-serveDaemon(ServerT& server, std::atomic<ServerT*>& signal_slot,
-            const DaemonOptions& opt)
+serveDaemon(service::AsyncServer& server, const DaemonOptions& opt)
 {
     std::string error;
     if (!server.start(&error)) {
@@ -224,7 +215,7 @@ serveDaemon(ServerT& server, std::atomic<ServerT*>& signal_slot,
                   << std::endl;
     }
 
-    signal_slot.store(&server);
+    g_server.store(&server);
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);
 
@@ -238,7 +229,7 @@ serveDaemon(ServerT& server, std::atomic<ServerT*>& signal_slot,
 
     server.serve();
     std::cerr << "jcached: drained, exiting\n";
-    signal_slot.store(nullptr);
+    g_server.store(nullptr);
 
     metrics_server.stop();
     if (!opt.traceOut.empty()) {
@@ -260,11 +251,9 @@ serveDaemon(ServerT& server, std::atomic<ServerT*>& signal_slot,
 int
 main(int argc, char** argv)
 {
-    service::ServerConfig config;
+    service::AsyncServerConfig config;
     DaemonOptions opt;
-    bool use_reactor = true;
     bool coordinator = false;
-    unsigned pipeline_cap = 128;
     std::string workers;
 
     tools::CommonFlags common;
@@ -297,13 +286,8 @@ main(int argc, char** argv)
         } else if (flag == "--port-file") {
             opt.portFile = value;
         } else if (flag == "--server") {
-            if (value == "reactor") {
-                use_reactor = true;
-            } else if (value == "threaded") {
-                use_reactor = false;
-            } else {
-                std::cerr << "error: --server must be reactor or "
-                             "threaded\n";
+            if (value != "reactor") {
+                std::cerr << "error: --server must be reactor\n";
                 return usage();
             }
         } else if (flag == "--workers" || flag == "--worker") {
@@ -318,10 +302,10 @@ main(int argc, char** argv)
             config.connectionTimeoutMillis = static_cast<unsigned>(
                 std::strtoul(value.c_str(), nullptr, 10));
         } else if (flag == "--pipeline-cap") {
-            pipeline_cap = static_cast<unsigned>(
+            config.maxPipelinedRequests = static_cast<unsigned>(
                 std::strtoul(value.c_str(), nullptr, 10));
-            if (pipeline_cap == 0)
-                pipeline_cap = 1;
+            if (config.maxPipelinedRequests == 0)
+                config.maxPipelinedRequests = 1;
         } else if (flag == "--admission") {
             auto mode = service::parseAdmissionMode(value);
             if (!mode) {
@@ -387,21 +371,10 @@ main(int argc, char** argv)
                       << config.service.shard.workers.size()
                       << " worker(s)\n";
 
-        if (use_reactor) {
-            service::AsyncServerConfig aconfig;
-            aconfig.port = config.port;
-            aconfig.connectionTimeoutMillis =
-                config.connectionTimeoutMillis;
-            aconfig.maxPipelinedRequests = pipeline_cap;
-            aconfig.service = config.service;
-            service::AsyncServer server(aconfig);
-            std::cerr << "jcached: reactor front end ("
-                      << server.backend() << ")\n";
-            return serveDaemon(server, g_reactor, opt);
-        }
-        service::Server server(config);
-        std::cerr << "jcached: threaded front end\n";
-        return serveDaemon(server, g_threaded, opt);
+        service::AsyncServer server(config);
+        std::cerr << "jcached: reactor front end ("
+                  << server.backend() << ")\n";
+        return serveDaemon(server, opt);
     } catch (const FatalError& e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;
