@@ -286,15 +286,8 @@ TraceRepository::resolveMaterialized(const TraceRef& ref)
 
     // Mapped-only: decode every block into an owned in-memory trace
     // and re-cache the materialized resolution under the same spec.
-    trace::Trace t(r.name);
-    t.reserve(static_cast<std::size_t>(r.source->records()));
-    std::unique_ptr<trace::BlockCursor> cursor =
-        r.source->blocks(trace::kDefaultBlockRecords);
-    trace::TraceBlock block;
-    while (cursor->next(block))
-        for (std::size_t i = 0; i < block.count; ++i)
-            t.append(block.records[i]);
-    ResolvedTrace materialized = wrapOwned(std::move(t));
+    ResolvedTrace materialized =
+        wrapOwned(trace::materialize(*r.source));
     cache_[ref.spec()] = materialized;
     return materialized;
 }

@@ -1,20 +1,13 @@
 /**
  * @file
- * Zero-copy block iteration over a trace.
+ * The unit of the one-pass engine's trace walk.
  *
  * The one-pass engine (sim/multiconfig.hh) replays a trace against
  * many cache configurations at once.  To keep every lane's working
  * set hot it walks the trace in fixed-size blocks: decode a block of
- * records once, replay it through every lane, move on.  BlockRange
- * packages that walk as a range of TraceBlock views over the trace's
- * flat record array — no records are copied, a block is just a
- * pointer + count into Trace::records().
- *
- * Semantics at the edges:
- *  - an empty trace yields zero blocks (begin() == end());
- *  - when the record count is not a multiple of the block size, the
- *    final block is partial and holds the remainder;
- *  - a block size of 0 is clamped to 1 so iteration always advances.
+ * records once, replay it through every lane, move on.  A TraceBlock
+ * is one such block, a pointer + count view; the BlockCursor of a
+ * ReplaySource (trace/replay.hh) yields them.
  */
 
 #ifndef JCACHE_TRACE_BLOCKS_HH
@@ -52,90 +45,6 @@ struct TraceBlock
 
     /** Index of records[0] within the whole trace. */
     std::size_t offset = 0;
-};
-
-/**
- * Forward range of TraceBlock views over one trace.
- *
- * Usage:
- * @code
- *   for (trace::TraceBlock b : trace::BlockRange(t))
- *       replay(b.records, b.count);
- * @endcode
- */
-class BlockRange
-{
-  public:
-    /**
-     * Iterate `t` in blocks of `blockRecords` records.
-     *
-     * @param t             trace to walk; must outlive the range
-     * @param blockRecords  records per block; 0 is clamped to 1
-     */
-    explicit BlockRange(const Trace& t,
-                        std::size_t blockRecords = kDefaultBlockRecords)
-        : first_(t.records().data()), total_(t.size()),
-          block_(blockRecords == 0 ? 1 : blockRecords)
-    {
-    }
-
-    /** Input iterator yielding successive TraceBlock views. */
-    class Iterator
-    {
-      public:
-        Iterator(const TraceRecord* first, std::size_t total,
-                 std::size_t block, std::size_t pos)
-            : first_(first), total_(total), block_(block), pos_(pos)
-        {
-        }
-
-        /** The block starting at the current position. */
-        TraceBlock operator*() const
-        {
-            std::size_t n = total_ - pos_;
-            if (n > block_)
-                n = block_;
-            return TraceBlock{first_ + pos_, n, pos_};
-        }
-
-        Iterator& operator++()
-        {
-            pos_ += block_;
-            if (pos_ > total_)
-                pos_ = total_;
-            return *this;
-        }
-
-        bool operator==(const Iterator& other) const
-        {
-            return pos_ == other.pos_;
-        }
-
-        bool operator!=(const Iterator& other) const
-        {
-            return pos_ != other.pos_;
-        }
-
-      private:
-        const TraceRecord* first_;
-        std::size_t total_;
-        std::size_t block_;
-        std::size_t pos_;
-    };
-
-    Iterator begin() const { return Iterator(first_, total_, block_, 0); }
-    Iterator end() const { return Iterator(first_, total_, block_, total_); }
-
-    /** Number of blocks the range will yield. */
-    std::size_t blockCount() const
-    {
-        return (total_ + block_ - 1) / block_;
-    }
-
-  private:
-    const TraceRecord* first_;
-    std::size_t total_;
-    std::size_t block_;
 };
 
 } // namespace jcache::trace

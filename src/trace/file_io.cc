@@ -1,6 +1,6 @@
 /**
  * @file
- * Implementation of the binary trace file format.
+ * Implementation of the raw trace file format (JCTR).
  */
 
 #include "trace/file_io.hh"
@@ -8,12 +8,10 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
 
-#include "util/bitops.hh"
 #include "util/fault.hh"
 #include "util/fs.hh"
 #include "util/logging.hh"
@@ -24,14 +22,8 @@ namespace jcache::trace
 namespace
 {
 
-constexpr std::array<char, 4> kMagic = {'J', 'C', 'T', 'R'};
-constexpr std::array<char, 4> kMagicCompressed = {'J', 'C', 'T', 'Z'};
-
 /** Bytes of one raw-format record: addr + instrDelta + size + type. */
 constexpr std::uint64_t kRawRecordBytes = 8 + 4 + 1 + 1;
-
-/** Minimum bytes of one compressed record: meta + two 1-byte varints. */
-constexpr std::uint64_t kMinCompressedRecordBytes = 3;
 
 [[noreturn]] void
 corrupt(const std::string& message)
@@ -71,147 +63,6 @@ getLe(std::istream& is)
     return value;
 }
 
-/** LEB128-style unsigned varint. */
-void
-putVarint(std::ostream& os, std::uint64_t value)
-{
-    while (value >= 0x80) {
-        os.put(static_cast<char>((value & 0x7f) | 0x80));
-        value >>= 7;
-    }
-    os.put(static_cast<char>(value));
-}
-
-std::uint64_t
-getVarint(std::istream& is)
-{
-    std::uint64_t value = 0;
-    unsigned shift = 0;
-    while (true) {
-        int byte = is.get();
-        if (byte == std::char_traits<char>::eof())
-            corrupt("truncated in varint");
-        value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-        if ((byte & 0x80) == 0)
-            break;
-        shift += 7;
-        corruptIf(shift >= 64, "varint too long");
-    }
-    return value;
-}
-
-std::uint64_t
-zigzag(std::int64_t v)
-{
-    return (static_cast<std::uint64_t>(v) << 1) ^
-           static_cast<std::uint64_t>(v >> 63);
-}
-
-std::int64_t
-unzigzag(std::uint64_t v)
-{
-    return static_cast<std::int64_t>(v >> 1) ^
-           -static_cast<std::int64_t>(v & 1);
-}
-
-void
-writeHeader(std::ostream& os, const std::array<char, 4>& magic,
-            const Trace& trace)
-{
-    os.write(magic.data(), magic.size());
-    putLe<std::uint32_t>(os, kTraceFormatVersion);
-    putLe<std::uint64_t>(os, trace.size());
-    putLe<std::uint32_t>(
-        os, static_cast<std::uint32_t>(trace.name().size()));
-    os.write(trace.name().data(),
-             static_cast<std::streamsize>(trace.name().size()));
-}
-
-} // namespace
-
-void
-writeTrace(const Trace& trace, std::ostream& os)
-{
-    writeHeader(os, kMagic, trace);
-    for (const TraceRecord& r : trace) {
-        putLe<std::uint64_t>(os, r.addr);
-        putLe<std::uint32_t>(os, r.instrDelta);
-        putLe<std::uint8_t>(os, r.size);
-        putLe<std::uint8_t>(os, static_cast<std::uint8_t>(r.type));
-    }
-}
-
-void
-saveTrace(const Trace& trace, const std::string& path)
-{
-    fatalIf(JCACHE_FAULT("trace.write"),
-            "cannot open trace file for writing: " + path);
-    // Render in memory, then write-then-rename (util/fs.hh): a crash
-    // or full disk never leaves a torn trace under the final name.
-    std::ostringstream oss;
-    writeTrace(trace, oss);
-    util::atomicWriteFile(path, oss.str());
-}
-
-void
-writeTraceCompressed(const Trace& trace, std::ostream& os)
-{
-    writeHeader(os, kMagicCompressed, trace);
-    Addr prev_addr = 0;
-    for (const TraceRecord& r : trace) {
-        unsigned size_log2 = floorLog2(r.size);
-        std::uint8_t meta = static_cast<std::uint8_t>(
-            (r.type == RefType::Write ? 1 : 0) | (size_log2 << 1));
-        os.put(static_cast<char>(meta));
-        putVarint(os, zigzag(static_cast<std::int64_t>(r.addr) -
-                             static_cast<std::int64_t>(prev_addr)));
-        putVarint(os, r.instrDelta);
-        prev_addr = r.addr;
-    }
-}
-
-void
-saveTraceCompressed(const Trace& trace, const std::string& path)
-{
-    fatalIf(JCACHE_FAULT("trace.write"),
-            "cannot open trace file for writing: " + path);
-    std::ostringstream oss;
-    writeTraceCompressed(trace, oss);
-    util::atomicWriteFile(path, oss.str());
-}
-
-namespace
-{
-
-/** Shared header decode for readTrace()/readTraceInfo(). */
-TraceFileInfo
-readHeader(std::istream& is)
-{
-    corruptIf(JCACHE_FAULT("trace.read.header"),
-              "injected fault: torn header");
-
-    std::array<char, 4> magic = {};
-    is.read(magic.data(), magic.size());
-    corruptIf(!is || (magic != kMagic && magic != kMagicCompressed),
-              "not a jcache trace file");
-
-    TraceFileInfo info;
-    info.format = magic == kMagicCompressed ? "compressed" : "raw";
-    info.version = getLe<std::uint32_t>(is);
-    corruptIf(info.version != kTraceFormatVersion,
-              "unsupported trace file version " +
-                  std::to_string(info.version));
-
-    info.records = getLe<std::uint64_t>(is);
-    auto name_len = getLe<std::uint32_t>(is);
-    corruptIf(name_len > kMaxTraceNameBytes,
-              "unreasonable name length " + std::to_string(name_len));
-    info.name.assign(name_len, '\0');
-    is.read(info.name.data(), name_len);
-    corruptIf(!is, "truncated in name");
-    return info;
-}
-
 /**
  * Bytes left in the stream after the header, or -1 when the stream is
  * not seekable.  Lets the reader reject a header whose record count
@@ -233,30 +84,67 @@ remainingBytes(std::istream& is)
 
 } // namespace
 
-TraceFileInfo
-readTraceInfo(std::istream& is)
+void
+writeTrace(const Trace& trace, std::ostream& os)
 {
-    return readHeader(is);
+    os.write(kRawTraceMagic.data(), kRawTraceMagic.size());
+    putLe<std::uint32_t>(os, kTraceFormatVersion);
+    putLe<std::uint64_t>(os, trace.size());
+    putLe<std::uint32_t>(
+        os, static_cast<std::uint32_t>(trace.name().size()));
+    os.write(trace.name().data(),
+             static_cast<std::streamsize>(trace.name().size()));
+    for (const TraceRecord& r : trace) {
+        putLe<std::uint64_t>(os, r.addr);
+        putLe<std::uint32_t>(os, r.instrDelta);
+        putLe<std::uint8_t>(os, r.size);
+        putLe<std::uint8_t>(os, static_cast<std::uint8_t>(r.type));
+    }
+}
+
+void
+saveTrace(const Trace& trace, const std::string& path)
+{
+    fatalIf(JCACHE_FAULT("trace.write"),
+            "cannot open trace file for writing: " + path);
+    // Render in memory, then write-then-rename (util/fs.hh): a crash
+    // or full disk never leaves a torn trace under the final name.
+    std::ostringstream oss;
+    writeTrace(trace, oss);
+    util::atomicWriteFile(path, oss.str());
 }
 
 TraceFileInfo
-loadTraceInfo(const std::string& path)
+readTraceInfo(std::istream& is)
 {
-    std::ifstream ifs(path, std::ios::binary);
-    fatalIf(!ifs, "cannot open trace file for reading: " + path);
-    try {
-        return readTraceInfo(ifs);
-    } catch (const CorruptTraceError& e) {
-        throw CorruptTraceError(std::string(e.what()) +
-                                " [file: " + path + "]");
-    }
+    corruptIf(JCACHE_FAULT("trace.read.header"),
+              "injected fault: torn header");
+
+    std::array<char, 4> magic = {};
+    is.read(magic.data(), magic.size());
+    corruptIf(!is || magic != kRawTraceMagic, "not a jcache trace file");
+
+    TraceFileInfo info;
+    info.format = "raw";
+    info.version = getLe<std::uint32_t>(is);
+    corruptIf(info.version != kTraceFormatVersion,
+              "unsupported trace file version " +
+                  std::to_string(info.version));
+
+    info.records = getLe<std::uint64_t>(is);
+    auto name_len = getLe<std::uint32_t>(is);
+    corruptIf(name_len > kMaxTraceNameBytes,
+              "unreasonable name length " + std::to_string(name_len));
+    info.name.assign(name_len, '\0');
+    is.read(info.name.data(), name_len);
+    corruptIf(!is, "truncated in name");
+    return info;
 }
 
 Trace
 readTrace(std::istream& is)
 {
-    TraceFileInfo info = readHeader(is);
-    bool compressed = info.format == "compressed";
+    TraceFileInfo info = readTraceInfo(is);
     std::uint64_t count = info.records;
 
     // Sanity-check the claimed record count against what the stream
@@ -265,20 +153,13 @@ readTrace(std::istream& is)
     std::int64_t remaining = remainingBytes(is);
     if (remaining >= 0) {
         auto avail = static_cast<std::uint64_t>(remaining);
-        if (compressed) {
-            corruptIf(count > avail / kMinCompressedRecordBytes,
-                      "header claims " + std::to_string(count) +
-                          " records but only " + std::to_string(avail) +
-                          " bytes follow");
-        } else {
-            corruptIf(count > avail / kRawRecordBytes,
-                      "header claims " + std::to_string(count) +
-                          " records but only " + std::to_string(avail) +
-                          " bytes follow");
-            corruptIf(count * kRawRecordBytes != avail,
-                      std::to_string(avail - count * kRawRecordBytes) +
-                          " trailing bytes after the last record");
-        }
+        corruptIf(count > avail / kRawRecordBytes,
+                  "header claims " + std::to_string(count) +
+                      " records but only " + std::to_string(avail) +
+                      " bytes follow");
+        corruptIf(count * kRawRecordBytes != avail,
+                  std::to_string(avail - count * kRawRecordBytes) +
+                      " trailing bytes after the last record");
     }
 
     Trace trace(info.name);
@@ -288,51 +169,18 @@ readTrace(std::istream& is)
     constexpr std::uint64_t kMaxBlindReserve = 1u << 20;
     trace.reserve(remaining >= 0 ? count
                                  : std::min(count, kMaxBlindReserve));
-    Addr prev_addr = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
         corruptIf(JCACHE_FAULT("trace.read.record"),
                   "injected fault: short record " + std::to_string(i));
         TraceRecord r;
-        if (compressed) {
-            auto meta = getLe<std::uint8_t>(is);
-            r.type = (meta & 1) ? RefType::Write : RefType::Read;
-            r.size = static_cast<std::uint8_t>(1u << ((meta >> 1) &
-                                                      0x3));
-            r.addr = static_cast<Addr>(
-                static_cast<std::int64_t>(prev_addr) +
-                unzigzag(getVarint(is)));
-            auto delta = getVarint(is);
-            corruptIf(delta > 0xffffffffull,
-                      "instruction delta out of range");
-            r.instrDelta = static_cast<std::uint32_t>(delta);
-            prev_addr = r.addr;
-        } else {
-            r.addr = getLe<std::uint64_t>(is);
-            r.instrDelta = getLe<std::uint32_t>(is);
-            r.size = getLe<std::uint8_t>(is);
-            r.type = static_cast<RefType>(getLe<std::uint8_t>(is));
-        }
+        r.addr = getLe<std::uint64_t>(is);
+        r.instrDelta = getLe<std::uint32_t>(is);
+        r.size = getLe<std::uint8_t>(is);
+        r.type = static_cast<RefType>(getLe<std::uint8_t>(is));
         trace.append(r);
     }
     validate(trace);
     return trace;
-}
-
-Trace
-loadTrace(const std::string& path)
-{
-    std::ifstream ifs(path, std::ios::binary);
-    fatalIf(!ifs, "cannot open trace file for reading: " + path);
-    try {
-        return readTrace(ifs);
-    } catch (const CorruptTraceError& e) {
-        // The stream-level reader reports record indices and offsets;
-        // only here is the file path known, so attach it on the way
-        // out — a corrupt trace in a sweep over dozens of files must
-        // name which one.
-        throw CorruptTraceError(std::string(e.what()) +
-                                " [file: " + path + "]");
-    }
 }
 
 } // namespace jcache::trace

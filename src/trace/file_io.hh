@@ -1,26 +1,20 @@
 /**
  * @file
- * Binary trace file format.
+ * The raw native trace file (JCTR).
  *
- * Traces can be saved to disk and replayed later so a workload need
- * only be generated once.  Two layouts share a common header shape
- * (magic | u32 version | u64 record count | u32 name length | name):
- *
- *  - raw ("JCTR"): fixed little-endian records of
- *      u64 addr | u32 instrDelta | u8 size | u8 type
- *  - compressed ("JCTZ"): per record a meta byte (type in bit 0,
- *    log2 size in bits 1-2) followed by the zigzag-varint address
- *    delta from the previous record and the varint instrDelta.
- *    Data references have strong spatial locality, so deltas are
- *    short: compressed traces are typically 4-6x smaller.
- *
- * loadTrace()/readTrace() auto-detect the format from the magic.
- * Readers validate the magic, version, and every record.
+ * A JCTR file is a header (magic "JCTR" | u32 version | u64 record
+ * count | u32 name length | name) followed by fixed little-endian
+ * records of u64 addr | u32 instrDelta | u8 size | u8 type.  The
+ * tools write JCRC (trace/replay_cache.hh); saveTrace() still writes
+ * JCTR, byte for byte, and trace::loadAnyTrace() still reads it.
+ * readTrace() validates the magic, version, record count and every
+ * record.
  */
 
 #ifndef JCACHE_TRACE_FILE_IO_HH
 #define JCACHE_TRACE_FILE_IO_HH
 
+#include <array>
 #include <iosfwd>
 #include <string>
 
@@ -29,6 +23,9 @@
 
 namespace jcache::trace
 {
+
+/** Magic of a raw trace file. */
+inline constexpr std::array<char, 4> kRawTraceMagic = {'J', 'C', 'T', 'R'};
 
 /** Current trace file format version. */
 inline constexpr std::uint32_t kTraceFormatVersion = 1;
@@ -58,7 +55,7 @@ class CorruptTraceError : public FatalError
  */
 struct TraceFileInfo
 {
-    /** "raw" or "compressed" (from the magic). */
+    /** "raw" (JCTR) or "jcrc" (from the magic). */
     std::string format;
 
     /** Format version from the header. */
@@ -73,13 +70,10 @@ struct TraceFileInfo
 
 /**
  * Read only the header from a stream positioned at the start of a
- * trace file.  Throws CorruptTraceError on bad magic, unsupported
+ * JCTR file.  Throws CorruptTraceError on bad magic, unsupported
  * version, an oversized name or a truncated header.
  */
 TraceFileInfo readTraceInfo(std::istream& is);
-
-/** Read only the header of a trace file.  Throws FatalError. */
-TraceFileInfo loadTraceInfo(const std::string& path);
 
 /** Serialize a trace to a stream (raw format). */
 void writeTrace(const Trace& trace, std::ostream& os);
@@ -87,22 +81,13 @@ void writeTrace(const Trace& trace, std::ostream& os);
 /** Serialize a trace to a file.  Throws FatalError on I/O failure. */
 void saveTrace(const Trace& trace, const std::string& path);
 
-/** Serialize a trace to a stream in the compressed format. */
-void writeTraceCompressed(const Trace& trace, std::ostream& os);
-
-/** Save a trace in the compressed format. */
-void saveTraceCompressed(const Trace& trace, const std::string& path);
-
 /**
- * Deserialize a trace from a stream.  Throws CorruptTraceError on
- * corrupt or mismatched input — including a record count the stream
- * cannot possibly hold, so a forged header can never trigger a
- * multi-gigabyte allocation or a silent partial read.
+ * Deserialize a JCTR trace from a stream.  Throws CorruptTraceError
+ * on corrupt or mismatched input — including a record count the
+ * stream cannot possibly hold, so a forged header can never trigger
+ * a multi-gigabyte allocation or a silent partial read.
  */
 Trace readTrace(std::istream& is);
-
-/** Deserialize a trace from a file.  Throws FatalError on failure. */
-Trace loadTrace(const std::string& path);
 
 } // namespace jcache::trace
 

@@ -1,9 +1,9 @@
 /**
  * @file
- * Implementation of the external trace interchange encodings.
+ * Implementation of the text interchange encoding and of the loaders
+ * that sniff a trace file's kind.
  *
- * The wire details here (meta-byte layout, varint and zigzag rules,
- * the text grammar) are specified normatively in docs/TRACE_FORMAT.md;
+ * The text grammar is specified normatively in docs/TRACE_FORMAT.md;
  * a ctest re-parses that document's worked examples against this code
  * so the two cannot drift apart silently.
  */
@@ -16,12 +16,14 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <sstream>
 #include <string_view>
 #include <vector>
 
-#include "trace/varint.hh"
-#include "util/bitops.hh"
+#include "trace/replay.hh"
+#include "trace/replay_cache.hh"
 #include "util/fault.hh"
+#include "util/fs.hh"
 #include "util/logging.hh"
 
 namespace jcache::trace
@@ -29,101 +31,6 @@ namespace jcache::trace
 
 namespace
 {
-
-constexpr std::array<char, 4> kMagicInterchange = {'J', 'C', 'T', 'X'};
-
-/** Minimum bytes of one JCTX record: meta + two 1-byte varints. */
-constexpr std::uint64_t kMinInterchangeRecordBytes = 3;
-
-/** JCTX header bytes: magic + u16 version + u16 flags + u64 count. */
-constexpr std::uint64_t kInterchangeHeaderBytes = 4 + 2 + 2 + 8;
-
-/**
- * Byte-counting reader over a stream: every importer error must name
- * the exact offset, so all binary input flows through here.
- */
-struct ByteReader
-{
-    std::istream& is;
-    const std::string& source;
-    std::uint64_t offset = 0;
-
-    /** Next byte, or EOF. */
-    int get()
-    {
-        int c = is.get();
-        if (c != std::char_traits<char>::eof())
-            ++offset;
-        return c;
-    }
-
-    /** Next byte; throws naming `what` if the stream ends instead. */
-    std::uint8_t require(const std::string& what)
-    {
-        int c = get();
-        if (c == std::char_traits<char>::eof()) {
-            throw TraceParseError(source, offset, true,
-                                  "truncated in " + what);
-        }
-        return static_cast<std::uint8_t>(c);
-    }
-
-    std::uint16_t requireLe16(const std::string& what)
-    {
-        std::uint16_t lo = require(what);
-        std::uint16_t hi = require(what);
-        return static_cast<std::uint16_t>(lo | (hi << 8));
-    }
-
-    std::uint64_t requireLe64(const std::string& what)
-    {
-        std::uint64_t value = 0;
-        for (unsigned i = 0; i < 8; ++i) {
-            value |= static_cast<std::uint64_t>(require(what))
-                     << (8 * i);
-        }
-        return value;
-    }
-
-    /** LEB128 varint; throws on truncation or >64-bit encodings. */
-    std::uint64_t requireVarint(const std::string& what)
-    {
-        std::uint64_t value = 0;
-        unsigned shift = 0;
-        while (true) {
-            std::uint64_t at = offset;
-            std::uint8_t byte = require(what);
-            value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-            if ((byte & 0x80) == 0)
-                break;
-            shift += 7;
-            if (shift >= 64) {
-                throw TraceParseError(source, at, true,
-                                      "varint too long in " + what);
-            }
-        }
-        return value;
-    }
-};
-
-/**
- * Bytes left in the stream, or -1 when it is not seekable.  Mirrors
- * the forged-header defense of the native reader: a claimed record
- * count the stream cannot hold fails before any allocation.
- */
-std::int64_t
-remainingBytes(std::istream& is)
-{
-    std::istream::pos_type here = is.tellg();
-    if (here == std::istream::pos_type(-1))
-        return -1;
-    is.seekg(0, std::ios::end);
-    std::istream::pos_type end = is.tellg();
-    is.seekg(here);
-    if (end == std::istream::pos_type(-1) || end < here)
-        return -1;
-    return static_cast<std::int64_t>(end - here);
-}
 
 bool
 isInterchangeSize(std::uint64_t size)
@@ -149,6 +56,37 @@ splitTokens(std::string_view line)
     return tokens;
 }
 
+/**
+ * The first four bytes of a stream, which is then rewound; zeros
+ * where the stream is shorter.
+ */
+std::array<char, 4>
+sniffMagic(std::istream& is)
+{
+    std::array<char, 4> magic = {};
+    is.read(magic.data(), magic.size());
+    is.clear();
+    is.seekg(0);
+    return magic;
+}
+
+/**
+ * Run a JCTR stream reader, appending ` [file: <path>]` to its
+ * CorruptTraceError: only here is the path known, and a corrupt trace
+ * in a sweep over dozens of files must name which one.
+ */
+template <typename Fn>
+auto
+withFileName(const std::string& path, Fn&& read)
+{
+    try {
+        return read();
+    } catch (const CorruptTraceError& e) {
+        throw CorruptTraceError(std::string(e.what()) + " [file: " +
+                                path + "]");
+    }
+}
+
 /** Parse an unsigned decimal or hex token in full, or report false. */
 bool
 parseUnsigned(std::string_view token, int base, std::uint64_t& out)
@@ -164,13 +102,11 @@ parseUnsigned(std::string_view token, int base, std::uint64_t& out)
 } // namespace
 
 TraceParseError::TraceParseError(const std::string& source,
-                                 std::uint64_t position,
-                                 bool byte_offset,
+                                 std::uint64_t line,
                                  const std::string& message)
-    : CorruptTraceError(source +
-                        (byte_offset ? ": byte " : ": line ") +
-                        std::to_string(position) + ": " + message),
-      source_(source), position_(position), byte_(byte_offset)
+    : CorruptTraceError(source + ": line " + std::to_string(line) +
+                        ": " + message),
+      source_(source), line_(line)
 {}
 
 void
@@ -200,12 +136,13 @@ exportTraceText(const Trace& trace, std::ostream& os)
 void
 saveTraceText(const Trace& trace, const std::string& path)
 {
-    std::ofstream ofs(path, std::ios::binary);
-    fatalIf(!ofs || JCACHE_FAULT("trace.write"),
+    fatalIf(JCACHE_FAULT("trace.write"),
             "cannot open trace file for writing: " + path);
-    exportTraceText(trace, ofs);
-    ofs.flush();
-    fatalIf(!ofs, "error writing trace file: " + path);
+    // As saveTrace(): render in memory, then write-then-rename, so a
+    // failed export never truncates the file it would replace.
+    std::ostringstream oss;
+    exportTraceText(trace, oss);
+    util::atomicWriteFile(path, oss.str());
 }
 
 Trace
@@ -213,7 +150,7 @@ importTraceText(std::istream& is, const std::string& name,
                 const std::string& source)
 {
     if (JCACHE_FAULT("trace.import")) {
-        throw TraceParseError(source, 1, false,
+        throw TraceParseError(source, 1,
                               "injected fault: import aborted");
     }
 
@@ -228,7 +165,7 @@ importTraceText(std::istream& is, const std::string& name,
             // only the former is an error.
             if (got == kMaxTextLineBytes - 1) {
                 throw TraceParseError(
-                    source, line_no, false,
+                    source, line_no,
                     "line exceeds " +
                         std::to_string(kMaxTextLineBytes) + " bytes");
             }
@@ -238,7 +175,7 @@ importTraceText(std::istream& is, const std::string& name,
         std::size_t len = is.eof() ? got : got - 1;
         std::string_view line(buf, len);
         if (line.find('\0') != std::string_view::npos) {
-            throw TraceParseError(source, line_no, false,
+            throw TraceParseError(source, line_no,
                                   "unexpected NUL byte (binary data "
                                   "fed to the text importer?)");
         }
@@ -253,7 +190,7 @@ importTraceText(std::istream& is, const std::string& name,
             continue;
 
         auto fail = [&](const std::string& message) -> void {
-            throw TraceParseError(source, line_no, false, message);
+            throw TraceParseError(source, line_no, message);
         };
         if (tokens.size() < 3 || tokens.size() > 4) {
             fail("expected '<r|w> <hex-addr> <size> [instr-delta]', "
@@ -306,179 +243,29 @@ importTraceText(std::istream& is, const std::string& name,
 }
 
 Trace
-loadTraceText(const std::string& path)
-{
-    std::ifstream ifs(path, std::ios::binary);
-    fatalIf(!ifs, "cannot open trace file for reading: " + path);
-    return importTraceText(ifs, defaultTraceName(path), path);
-}
-
-void
-exportTraceBinary(const Trace& trace, std::ostream& os)
-{
-    os.write(kMagicInterchange.data(), kMagicInterchange.size());
-    putLe<std::uint16_t>(os, kInterchangeVersion);
-    putLe<std::uint16_t>(os, 0); // flags, reserved
-    putLe<std::uint64_t>(os, trace.size());
-    Addr prev_addr = 0;
-    for (const TraceRecord& r : trace) {
-        unsigned size_log2 = floorLog2(r.size);
-        std::uint8_t meta = static_cast<std::uint8_t>(
-            (r.type == RefType::Write ? 1 : 0) | (size_log2 << 1));
-        os.put(static_cast<char>(meta));
-        putVarint(os, zigzagEncode(static_cast<std::int64_t>(r.addr) -
-                                   static_cast<std::int64_t>(prev_addr)));
-        putVarint(os, r.instrDelta);
-        prev_addr = r.addr;
-    }
-}
-
-void
-saveTraceBinary(const Trace& trace, const std::string& path)
-{
-    std::ofstream ofs(path, std::ios::binary);
-    fatalIf(!ofs || JCACHE_FAULT("trace.write"),
-            "cannot open trace file for writing: " + path);
-    exportTraceBinary(trace, ofs);
-    ofs.flush();
-    fatalIf(!ofs, "error writing trace file: " + path);
-}
-
-Trace
-importTraceBinary(std::istream& is, const std::string& name,
-                  const std::string& source)
-{
-    if (JCACHE_FAULT("trace.import")) {
-        throw TraceParseError(source, 0, true,
-                              "injected fault: import aborted");
-    }
-
-    ByteReader reader{is, source};
-    std::array<char, 4> magic = {};
-    for (char& c : magic)
-        c = static_cast<char>(reader.require("magic"));
-    if (magic != kMagicInterchange) {
-        throw TraceParseError(source, 0, true,
-                              "not a jcache interchange trace "
-                              "(bad magic)");
-    }
-    std::uint16_t version = reader.requireLe16("version");
-    if (version != kInterchangeVersion) {
-        throw TraceParseError(source, 4, true,
-                              "unsupported interchange version " +
-                                  std::to_string(version));
-    }
-    std::uint16_t flags = reader.requireLe16("flags");
-    if (flags != 0) {
-        throw TraceParseError(source, 6, true,
-                              "reserved flags set: " +
-                                  std::to_string(flags));
-    }
-    std::uint64_t count = reader.requireLe64("record count");
-
-    // Forged-header defense, as in the native reader: the claimed
-    // count must fit in the bytes that actually follow.
-    std::int64_t remaining = remainingBytes(is);
-    if (remaining >= 0) {
-        auto avail = static_cast<std::uint64_t>(remaining);
-        if (count > avail / kMinInterchangeRecordBytes) {
-            throw TraceParseError(
-                source, kInterchangeHeaderBytes, true,
-                "header claims " + std::to_string(count) +
-                    " records but only " + std::to_string(avail) +
-                    " bytes follow");
-        }
-    }
-
-    Trace trace(name);
-    constexpr std::uint64_t kMaxBlindReserve = 1u << 20;
-    trace.reserve(remaining >= 0
-                      ? count
-                      : std::min(count, kMaxBlindReserve));
-    Addr prev_addr = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        std::string what = "record " + std::to_string(i);
-        std::uint64_t meta_at = reader.offset;
-        std::uint8_t meta = reader.require(what);
-        if ((meta & ~0x07u) != 0) {
-            throw TraceParseError(source, meta_at, true,
-                                  "reserved meta bits set in " + what);
-        }
-        TraceRecord r;
-        r.type = (meta & 1) ? RefType::Write : RefType::Read;
-        r.size = static_cast<std::uint8_t>(1u << ((meta >> 1) & 0x3));
-        std::uint64_t delta_at = reader.offset;
-        r.addr = static_cast<Addr>(
-            static_cast<std::int64_t>(prev_addr) +
-            zigzagDecode(
-                reader.requireVarint("address delta of " + what)));
-        std::uint64_t instr = reader.requireVarint(
-            "instruction delta of " + what);
-        if (instr > 0xffffffffull) {
-            throw TraceParseError(source, delta_at, true,
-                                  "instruction delta out of range in " +
-                                      what);
-        }
-        r.instrDelta = static_cast<std::uint32_t>(instr);
-        prev_addr = r.addr;
-        trace.append(r);
-    }
-    std::uint64_t end_at = reader.offset;
-    if (reader.get() != std::char_traits<char>::eof()) {
-        throw TraceParseError(source, end_at, true,
-                              "trailing bytes after the last record");
-    }
-    return trace;
-}
-
-Trace
-loadTraceBinary(const std::string& path)
-{
-    std::ifstream ifs(path, std::ios::binary);
-    fatalIf(!ifs, "cannot open trace file for reading: " + path);
-    return importTraceBinary(ifs, defaultTraceName(path), path);
-}
-
-Trace
-importTrace(std::istream& is, const std::string& name,
-            const std::string& source)
-{
-    // Sniff the first four bytes, then rewind and dispatch.  All the
-    // streams that reach here (files, string buffers) are seekable.
-    std::istream::pos_type start = is.tellg();
-    if (start == std::istream::pos_type(-1)) {
-        throw CorruptTraceError(
-            "cannot sniff trace encoding: stream is not seekable (" +
-            source + ")");
-    }
-    std::array<char, 4> magic = {};
-    is.read(magic.data(), magic.size());
-    bool have_magic = is.gcount() ==
-                      static_cast<std::streamsize>(magic.size());
-    is.clear();
-    is.seekg(start);
-
-    if (have_magic && (magic == std::array<char, 4>{'J', 'C', 'T', 'R'} ||
-                       magic == std::array<char, 4>{'J', 'C', 'T', 'Z'}))
-        return readTrace(is); // embedded name wins
-    if (have_magic && magic == kMagicInterchange)
-        return importTraceBinary(is, name, source);
-    return importTraceText(is, name, source);
-}
-
-Trace
 loadAnyTrace(const std::string& path)
 {
     std::ifstream ifs(path, std::ios::binary);
     fatalIf(!ifs, "cannot open trace file for reading: " + path);
-    try {
-        return importTrace(ifs, defaultTraceName(path), path);
-    } catch (const TraceParseError&) {
-        throw; // already names the source
-    } catch (const CorruptTraceError& e) {
-        throw CorruptTraceError(std::string(e.what()) + " [file: " +
-                                path + "]");
+    const std::array<char, 4> magic = sniffMagic(ifs);
+    if (magic == kReplayCacheMagic)
+        return materialize(MappedReplayCache(path));
+    if (magic == kRawTraceMagic)
+        return withFileName(path, [&] { return readTrace(ifs); });
+    return importTraceText(ifs, defaultTraceName(path), path);
+}
+
+TraceFileInfo
+loadTraceInfo(const std::string& path)
+{
+    std::ifstream ifs(path, std::ios::binary);
+    fatalIf(!ifs, "cannot open trace file for reading: " + path);
+    if (sniffMagic(ifs) == kReplayCacheMagic) {
+        MappedReplayCache cache(path);
+        return {"jcrc", kReplayCacheVersion, cache.records(),
+                cache.name()};
     }
+    return withFileName(path, [&] { return readTraceInfo(ifs); });
 }
 
 std::string

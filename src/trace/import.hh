@@ -1,29 +1,22 @@
 /**
  * @file
- * External trace interchange: import and export in two documented
- * encodings.
+ * Trace files at the boundary: the text interchange encoding, and
+ * the loaders that accept every trace file jcache reads.
  *
- * The native trace files of file_io.hh (JCTR/JCTZ) are an internal
- * format — they carry a workload name and change with the library.
- * This header is the *interchange* boundary: traces captured outside
- * jcache (Pin tools, DynamoRIO clients, hand-written generators) come
- * in, and jcache traces go out to other simulators, through two
- * encodings specified normatively in docs/TRACE_FORMAT.md:
+ * Traces captured outside jcache (Pin tools, DynamoRIO clients,
+ * hand-written generators) come in, and jcache traces go out to other
+ * simulators, as Dinero/cachegrind-style text, one reference per line
+ * (`r|w <hex-addr> <size> [instr-delta]`), specified normatively in
+ * docs/TRACE_FORMAT.md together with the JCRC file.  The importer
+ * rejects malformed input with TraceParseError, which carries the
+ * source label and the exact line of the failure.  Export -> import
+ * reproduces an identical record stream, so simulation counters are
+ * byte-identical (asserted by tests/test_trace_import.cc and the
+ * tool_trace_import_roundtrip ctest).
  *
- *  - a Dinero/cachegrind-style text form, one reference per line
- *      (`r|w <hex-addr> <size> [instr-delta]`), diffable and trivial
- *      to emit from any tool; and
- *  - a compact delta-encoded binary form ("JCTX"): per record a meta
- *    byte plus a zigzag-varint address delta and a varint instruction
- *    delta — typically 3-5 bytes per reference.
- *
- * Importers reject malformed input with TraceParseError, which
- * carries the source label and the exact line (text) or byte offset
- * (binary) of the failure, mirroring the CorruptTraceError taxonomy
- * of the native readers.  Both directions round-trip exactly: for any
- * valid trace, export → import reproduces an identical record stream,
- * so simulation counters are byte-identical (asserted by
- * tests/test_trace_import.cc and the trace_import_smoke CI step).
+ * loadAnyTrace() reads the three kinds of trace file: JCRC (the one
+ * binary format the tools write, trace/replay_cache.hh), raw JCTR
+ * (trace/file_io.hh) and text.
  */
 
 #ifndef JCACHE_TRACE_IMPORT_HH
@@ -39,9 +32,6 @@
 namespace jcache::trace
 {
 
-/** Version of the binary interchange encoding (JCTX header field). */
-inline constexpr std::uint16_t kInterchangeVersion = 1;
-
 /**
  * Upper bound on one line of the text encoding, terminator included.
  * A well-formed record needs at most ~45 bytes; the cap bounds memory
@@ -51,44 +41,40 @@ inline constexpr std::uint16_t kInterchangeVersion = 1;
 inline constexpr std::size_t kMaxTextLineBytes = 256;
 
 /**
- * Thrown by the interchange importers for malformed input.  A subtype
- * of CorruptTraceError (so existing catch sites keep working) that
- * additionally pins the failure to a position: a 1-based line number
- * for the text encoding, a 0-based byte offset for the binary one.
+ * Thrown by the text importer for malformed input.  A subtype of
+ * CorruptTraceError (so existing catch sites keep working) that
+ * additionally pins the failure to a 1-based line number.
  */
 class TraceParseError : public CorruptTraceError
 {
   public:
     /**
-     * @param source     label for messages — a file path or "<text>" /
-     *                   "<binary>" for streams.
-     * @param position   1-based line (text) or 0-based byte offset
-     *                   (binary) of the failure.
-     * @param byte_offset true when `position` is a byte offset.
-     * @param message    what was wrong at that position.
+     * @param source  label for messages — a file path or "<text>".
+     * @param line    1-based line of the failure.
+     * @param message what was wrong on that line.
      */
-    TraceParseError(const std::string& source, std::uint64_t position,
-                    bool byte_offset, const std::string& message);
+    TraceParseError(const std::string& source, std::uint64_t line,
+                    const std::string& message);
 
     /** Source label the importer was given. */
     const std::string& source() const { return source_; }
 
-    /** Line number (text) or byte offset (binary) of the failure. */
-    std::uint64_t position() const { return position_; }
-
-    /** True when position() is a byte offset rather than a line. */
-    bool isByteOffset() const { return byte_; }
+    /** Line number of the failure. */
+    std::uint64_t line() const { return line_; }
 
   private:
     std::string source_;
-    std::uint64_t position_;
-    bool byte_;
+    std::uint64_t line_;
 };
 
 /** Write a trace in the text interchange encoding. */
 void exportTraceText(const Trace& trace, std::ostream& os);
 
-/** Save a trace in the text encoding.  Throws FatalError on I/O. */
+/**
+ * Save a trace in the text encoding.  Throws FatalError on I/O.  The
+ * file is replaced atomically, so a failed save leaves the old file
+ * as it was.
+ */
 void saveTraceText(const Trace& trace, const std::string& path);
 
 /**
@@ -102,44 +88,25 @@ void saveTraceText(const Trace& trace, const std::string& path);
 Trace importTraceText(std::istream& is, const std::string& name,
                       const std::string& source = "<text>");
 
-/** Import a text-encoded trace file; named after the file's stem. */
-Trace loadTraceText(const std::string& path);
-
-/** Write a trace in the binary interchange encoding (JCTX). */
-void exportTraceBinary(const Trace& trace, std::ostream& os);
-
-/** Save a trace in the binary encoding.  Throws FatalError on I/O. */
-void saveTraceBinary(const Trace& trace, const std::string& path);
-
 /**
- * Parse the binary interchange encoding.  Throws TraceParseError with
- * the offending byte offset on malformed input, including reserved
- * meta bits, truncated deltas and trailing bytes.
- */
-Trace importTraceBinary(std::istream& is, const std::string& name,
-                        const std::string& source = "<binary>");
-
-/** Import a binary-encoded trace file; named after the file's stem. */
-Trace loadTraceBinary(const std::string& path);
-
-/**
- * Import a trace of any supported encoding from a stream, by
- * sniffing: the native magics (JCTR/JCTZ) dispatch to the file_io
- * readers (the embedded name wins over `name`), JCTX dispatches to
- * the binary importer, anything else is parsed as text.
- */
-Trace importTrace(std::istream& is, const std::string& name,
-                  const std::string& source = "<trace>");
-
-/**
- * Load a trace file of any supported encoding (native raw/compressed,
- * binary interchange, or text).  Interchange traces are named after
- * the file's stem, so `jcache-sim mytrace.txt` and an upload of the
- * same file to jcached title their tables identically.
+ * Load a trace file of any supported kind, picking the decoder from
+ * the file's first bytes: "JCRC" is decoded block by block through
+ * MappedReplayCache, "JCTR" goes to readTrace(), and anything else is
+ * parsed as text.  The binary files carry their own trace name; a
+ * text trace is named after the file's stem, so `jcache-sim
+ * mytrace.txt` and an upload of the same file to jcached title their
+ * tables identically.
  */
 Trace loadAnyTrace(const std::string& path);
 
-/** The workload name given to an interchange file: its stem. */
+/**
+ * Read only the header of a JCRC or JCTR file, decoding no record.
+ * A JCRC header passes exactly the checks MappedReplayCache runs at
+ * open.  Throws FatalError (CorruptTraceError for a damaged header).
+ */
+TraceFileInfo loadTraceInfo(const std::string& path);
+
+/** The workload name given to a text trace file: its stem. */
 std::string defaultTraceName(const std::string& path);
 
 } // namespace jcache::trace

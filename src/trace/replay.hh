@@ -5,9 +5,9 @@
  * The engine used to be wedded to an in-memory Trace — every sweep
  * regenerated (or re-imported) the full record array before a single
  * access was replayed.  ReplaySource abstracts the supplier side of
- * the block walk in trace/blocks.hh: a source knows its name, its
- * record count, and how to hand out BlockCursor walkers that yield
- * successive TraceBlock views.  Two implementations exist:
+ * the block walk: a source knows its name, its record count, and how
+ * to hand out BlockCursor walkers that yield successive TraceBlock
+ * views (trace/blocks.hh).  Two implementations exist:
  *
  *  - TraceReplaySource (here): zero-copy views into a live Trace's
  *    flat record array — the classic path, no decoding at all;
@@ -19,6 +19,12 @@
  * Cursors are independent: concurrent passes over one source (the
  * engine fans lane chunks across a thread pool) each take their own
  * cursor and never share decode state.
+ *
+ * Semantics at the edges, for every source:
+ *  - an empty trace yields zero blocks;
+ *  - when the record count is not a multiple of the block size, the
+ *    final block is partial and holds the remainder;
+ *  - a block size of 0 is clamped to 1 so iteration always advances.
  */
 
 #ifndef JCACHE_TRACE_REPLAY_HH
@@ -80,8 +86,8 @@ class ReplaySource
 
 /**
  * ReplaySource over an in-memory Trace: blocks are zero-copy views
- * into Trace::records(), exactly as BlockRange yields them.  The
- * trace must outlive the source.
+ * into Trace::records(), `blockRecords` records each.  The trace must
+ * outlive the source.
  */
 class TraceReplaySource final : public ReplaySource
 {
@@ -132,6 +138,25 @@ class TraceReplaySource final : public ReplaySource
 
     const Trace* trace_;
 };
+
+/**
+ * Decode every block of `source` into an in-memory Trace named after
+ * the source.  This is how a JCRC file becomes a Trace, both for
+ * trace::loadAnyTrace() and for sim::TraceRepository.
+ */
+inline Trace
+materialize(const ReplaySource& source)
+{
+    Trace trace(source.name());
+    trace.reserve(static_cast<std::size_t>(source.records()));
+    std::unique_ptr<BlockCursor> cursor =
+        source.blocks(kDefaultBlockRecords);
+    TraceBlock block;
+    while (cursor->next(block))
+        for (std::size_t i = 0; i < block.count; ++i)
+            trace.append(block.records[i]);
+    return trace;
+}
 
 } // namespace jcache::trace
 

@@ -31,12 +31,13 @@ namespace jcache::trace
 namespace
 {
 
-constexpr std::array<char, 4> kMagicReplayCache = {'J', 'C', 'R', 'C'};
-
 /** Fixed header bytes before the trace name. */
 constexpr std::size_t kHeaderBytes = 4 + 2 + 2 + 8 + 8 + 8 + 16 + 4;
 
 constexpr std::size_t kDigestBytes = 16;
+
+/** Fewest payload bytes a record can take: meta + two 1-byte varints. */
+constexpr std::uint64_t kMinRecordBytes = 3;
 
 bool
 isHexDigest(const std::string& digest)
@@ -104,7 +105,7 @@ writeReplayCache(const Trace& trace, const std::string& path,
 
     std::string out;
     out.reserve(payload_base + payload.size());
-    out.append(kMagicReplayCache.data(), kMagicReplayCache.size());
+    out.append(kReplayCacheMagic.data(), kReplayCacheMagic.size());
     appendLe<std::uint16_t>(out, kReplayCacheVersion);
     appendLe<std::uint16_t>(out, 0); // flags, reserved
     appendLe<std::uint64_t>(out, count);
@@ -168,15 +169,28 @@ MappedReplayCache::MappedReplayCache(const std::string& path)
         size_ = buffer_.size();
     }
 
+    // A constructor that throws never runs the destructor, so a file
+    // that fails validation must release its mapping here.
+    try {
+        parseHeader();
+    } catch (...) {
+        unmap();
+        throw;
+    }
+}
+
+void
+MappedReplayCache::parseHeader()
+{
     if (size_ < kHeaderBytes)
         corrupt("file shorter than the header");
 
     const unsigned char* p = data_;
     const unsigned char* end = data_ + size_;
-    if (std::memcmp(p, kMagicReplayCache.data(),
-                    kMagicReplayCache.size()) != 0)
+    if (std::memcmp(p, kReplayCacheMagic.data(),
+                    kReplayCacheMagic.size()) != 0)
         corrupt("bad magic");
-    p += kMagicReplayCache.size();
+    p += kReplayCacheMagic.size();
 
     std::uint16_t version = 0;
     std::uint16_t flags = 0;
@@ -194,8 +208,10 @@ MappedReplayCache::MappedReplayCache(const std::string& path)
         corrupt("reserved flags set: " + std::to_string(flags));
     if (block_records == 0)
         corrupt("zero records per block");
+    // ceil(count / block_records), without the wrap-around of
+    // count + block_records - 1 near 2^64.
     const std::uint64_t expected_blocks =
-        (count + block_records - 1) / block_records;
+        count / block_records + (count % block_records != 0 ? 1 : 0);
     if (block_count != expected_blocks) {
         corrupt("block count " + std::to_string(block_count) +
                 " does not cover " + std::to_string(count) + " records");
@@ -211,11 +227,24 @@ MappedReplayCache::MappedReplayCache(const std::string& path)
     if (name_len > kMaxTraceNameBytes)
         corrupt("trace name length " + std::to_string(name_len) +
                 " exceeds the cap");
-    if (static_cast<std::uint64_t>(end - p) <
-        name_len + 8ull * block_count)
+    const auto after_name_field = static_cast<std::uint64_t>(end - p);
+    if (after_name_field < name_len ||
+        (after_name_field - name_len) / 8 < block_count)
         corrupt("truncated before the offset table ends");
     name_.assign(reinterpret_cast<const char*>(p), name_len);
     p += name_len;
+
+    // Every record takes at least kMinRecordBytes of payload, so a
+    // count the file cannot hold is a forged header, caught here
+    // rather than as a giant allocation in the first cursor.
+    const std::uint64_t payload_base =
+        kHeaderBytes + name_len + 8 * block_count;
+    const std::uint64_t payload_bytes = size_ - payload_base;
+    if (count > payload_bytes / kMinRecordBytes) {
+        corrupt("header claims " + std::to_string(count) +
+                " records but only " + std::to_string(payload_bytes) +
+                " payload bytes follow");
+    }
 
     count_ = count;
     block_records_ = static_cast<std::size_t>(block_records);
@@ -225,8 +254,6 @@ MappedReplayCache::MappedReplayCache(const std::string& path)
 
     // The offset table must be monotone and in bounds; the payload
     // bytes themselves are validated by decodeBlock.
-    const std::uint64_t payload_base =
-        kHeaderBytes + name_len + 8ull * block_count;
     std::uint64_t prev = payload_base;
     for (std::size_t b = 0; b < block_count_; ++b) {
         const unsigned char* op = offsets_ + 8 * b;
@@ -240,6 +267,12 @@ MappedReplayCache::MappedReplayCache(const std::string& path)
 }
 
 MappedReplayCache::~MappedReplayCache()
+{
+    unmap();
+}
+
+void
+MappedReplayCache::unmap()
 {
 #if JCACHE_HAVE_MMAP
     if (mapped_)

@@ -10,27 +10,17 @@
  * record array is materialized, and a cursor touches one block-sized
  * decode buffer at a time.
  *
- * ## File format (JCRC v1, all integers little-endian)
+ * The file layout (a fixed header, the trace name, a table of block
+ * offsets, then the block payloads) is specified normatively in
+ * docs/TRACE_FORMAT.md.  Each block payload is self-contained: a
+ * record is a meta byte, a zigzag-varint address delta and a varint
+ * instruction delta (trace/varint.hh), with the address delta base
+ * reset to 0 at the start of every block so blocks decode
+ * independently.
  *
- * | offset      | field                                       |
- * |-------------|---------------------------------------------|
- * | 0           | magic "JCRC"                                |
- * | 4           | u16 version (1)                             |
- * | 6           | u16 flags (reserved, 0)                     |
- * | 8           | u64 record count                            |
- * | 16          | u64 records per block                       |
- * | 24          | u64 block count                             |
- * | 32          | char[16] content digest (fixed-width hex)   |
- * | 48          | u32 trace-name length                       |
- * | 52          | trace-name bytes                            |
- * | 52+nameLen  | u64 × blockCount absolute payload offsets   |
- * | ...         | block payloads                              |
- *
- * Each block payload is self-contained: records are encoded exactly
- * like JCTX interchange records (meta byte, zigzag-varint address
- * delta, varint instruction delta — shared primitives in
- * trace/varint.hh), with the address delta base reset to 0 at the
- * start of every block so blocks can be decoded independently.
+ * JCRC is also the one binary trace file the tools write:
+ * `jcache-trace generate|import` produce it, and trace::loadAnyTrace()
+ * reads it back through MappedReplayCache.
  *
  * ## Naming and invalidation
  *
@@ -46,6 +36,7 @@
 #ifndef JCACHE_TRACE_REPLAY_CACHE_HH
 #define JCACHE_TRACE_REPLAY_CACHE_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -57,6 +48,9 @@
 
 namespace jcache::trace
 {
+
+/** Magic of a JCRC file. */
+inline constexpr std::array<char, 4> kReplayCacheMagic = {'J', 'C', 'R', 'C'};
 
 /** Format version written and accepted by this build. */
 inline constexpr std::uint16_t kReplayCacheVersion = 1;
@@ -101,10 +95,12 @@ std::string ensureReplayCache(const Trace& trace,
  *
  * The file is mmap'd read-only (with a buffered-read fallback where
  * mmap is unavailable) and validated structurally on open: magic,
- * version, counts, name length, and a monotone in-bounds offset
- * table.  Record payloads are validated as they are decoded, so a
- * torn or truncated file surfaces as ReplayCacheError no later than
- * the first cursor that reaches the damage.
+ * version, counts, name length, a monotone in-bounds offset table,
+ * and a record count the payload bytes can hold (every record takes
+ * at least three), so a forged header never reaches an allocation.
+ * Record payloads are validated as they are decoded, so a torn or
+ * truncated file surfaces as ReplayCacheError no later than the
+ * first cursor that reaches the damage.
  *
  * Cursors decode one block at a time into a private reusable buffer;
  * concurrent cursors over one MappedReplayCache are safe.
@@ -155,6 +151,12 @@ class MappedReplayCache final : public ReplaySource
 
   private:
     class Cursor;
+
+    /** Validate the header and offset table; the constructor's tail. */
+    void parseHeader();
+
+    /** Release the mapping, if the file was mapped. */
+    void unmap();
 
     /** Decode block `index` into `out` (resized to the block). */
     void decodeBlock(std::size_t index,

@@ -1,20 +1,14 @@
 /**
  * @file
- * Shared varint/zigzag primitives for compact trace encodings.
+ * Varint/zigzag primitives of the JCRC record encoding.
  *
- * Two on-disk formats delta-encode trace records the same way: the
- * JCTX interchange encoding (trace/import.cc, specified normatively
- * in docs/TRACE_FORMAT.md) and the JCRC replay cache
- * (trace/replay_cache.hh).  Both write a record as a meta byte, a
- * zigzag-varint address delta, and a varint instruction delta; this
- * header holds the primitives so the two encoders cannot drift.
- *
- * Three flavors are provided, matched to the call sites:
- *  - stream writers (putLe/putVarint) for the interchange exporter;
- *  - buffer appenders (appendLe/appendVarint) for the replay-cache
- *    writer, which builds the whole file in memory for an atomic
- *    rename;
- *  - a bounded buffer reader (readVarint) for the mmap'd replay-cache
+ * The JCRC file (trace/replay_cache.hh, specified normatively in
+ * docs/TRACE_FORMAT.md) writes a record as a meta byte, a
+ * zigzag-varint address delta, and a varint instruction delta.
+ * Two flavors are provided, matched to the call sites:
+ *  - buffer appenders (appendLe/appendVarint) for the writer, which
+ *    builds the whole file in memory for an atomic rename;
+ *  - bounded buffer readers (readLe/readVarint) for the mmap'd
  *    decoder, which must never read past the mapping.
  *
  * The varint encoding is LEB128: 7 payload bits per byte, low bits
@@ -26,8 +20,8 @@
 #ifndef JCACHE_TRACE_VARINT_HH
 #define JCACHE_TRACE_VARINT_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <ostream>
 #include <string>
 
 namespace jcache::trace
@@ -47,26 +41,6 @@ zigzagDecode(std::uint64_t v)
 {
     return static_cast<std::int64_t>(v >> 1) ^
            -static_cast<std::int64_t>(v & 1);
-}
-
-/** Write `value` to a stream as little-endian fixed-width bytes. */
-template <typename T>
-void
-putLe(std::ostream& os, T value)
-{
-    for (unsigned i = 0; i < sizeof(T); ++i)
-        os.put(static_cast<char>((value >> (8 * i)) & 0xff));
-}
-
-/** Write `value` to a stream as a LEB128 varint. */
-inline void
-putVarint(std::ostream& os, std::uint64_t value)
-{
-    while (value >= 0x80) {
-        os.put(static_cast<char>((value & 0x7f) | 0x80));
-        value >>= 7;
-    }
-    os.put(static_cast<char>(value));
 }
 
 /** Append `value` to a byte buffer as little-endian fixed-width bytes. */

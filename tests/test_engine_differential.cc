@@ -235,25 +235,29 @@ TEST(EngineDifferential, EmptyTraceIsIdentical)
 
 TEST(EngineDifferential, ImportedTracesAreByteIdentical)
 {
-    // A trace round-tripped through either interchange encoding of
-    // docs/TRACE_FORMAT.md replays to the same counters as the
-    // original, on both engines, down to the wire JSON.
+    // A trace round-tripped through either file format of
+    // docs/TRACE_FORMAT.md (text, JCRC) replays to the same counters
+    // as the original, on both engines, down to the wire JSON.
     const trace::Trace& original = traces().front();
-    std::stringstream text, binary;
+    std::stringstream text;
     trace::exportTraceText(original, text);
-    trace::exportTraceBinary(original, binary);
     trace::Trace from_text =
         trace::importTraceText(text, original.name());
-    trace::Trace from_binary =
-        trace::importTraceBinary(binary, original.name());
+    const std::string jcrc =
+        (std::filesystem::temp_directory_path() /
+         ("jcache_differential_" + std::to_string(::getpid()) + ".jct"))
+            .string();
+    trace::writeReplayCache(original, jcrc);
+    trace::Trace from_jcrc = trace::loadAnyTrace(jcrc);
+    std::filesystem::remove(jcrc);
     ASSERT_EQ(from_text, original);
-    ASSERT_EQ(from_binary, original);
+    ASSERT_EQ(from_jcrc, original);
 
     CacheConfig base = config(8 * 1024, 16, WriteHitPolicy::WriteBack,
                               WriteMissPolicy::FetchOnWrite);
     RunResult reference =
         runOne({&original, base, true}, Engine::PerCell);
-    for (const trace::Trace* t : {&from_text, &from_binary}) {
+    for (const trace::Trace* t : {&from_text, &from_jcrc}) {
         Request request{t, base, true};
         RunResult percell = runOne(request, Engine::PerCell);
         RunResult onepass = runOne(request, Engine::OnePass);

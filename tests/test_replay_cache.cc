@@ -2,7 +2,7 @@
  * @file
  * Tests for the JCRC on-disk replay cache (trace/replay_cache.hh):
  * write/mmap round trips, header metadata, digest-addressed naming,
- * and rejection of corrupt or truncated files.
+ * and rejection of corrupt, truncated or forged files.
  */
 
 #include <unistd.h>
@@ -14,8 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include "trace/import.hh"
 #include "trace/replay_cache.hh"
 #include "trace/trace.hh"
+#include "trace/varint.hh"
 #include "workloads/workload.hh"
 
 namespace jcache::trace
@@ -24,6 +26,7 @@ namespace
 {
 
 namespace fs = std::filesystem;
+using namespace std::string_literals;
 
 /** A per-test scratch directory, removed on destruction. */
 struct TempDir
@@ -77,6 +80,30 @@ writeFile(const std::string& path, const std::string& bytes)
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(),
               static_cast<std::streamsize>(bytes.size()));
+}
+
+/**
+ * A JCRC file built field by field: the given counts, an empty name,
+ * a well-formed digest, then `offsets` and `payload` verbatim.  The
+ * payload of a file with B blocks starts at byte 52 + 8 * B.
+ */
+std::string
+jcrcFile(std::uint64_t count, std::uint64_t blockRecords,
+         std::uint64_t blockCount,
+         const std::vector<std::uint64_t>& offsets,
+         const std::string& payload = "")
+{
+    std::string out(kReplayCacheMagic.begin(), kReplayCacheMagic.end());
+    appendLe<std::uint16_t>(out, kReplayCacheVersion);
+    appendLe<std::uint16_t>(out, 0);
+    appendLe<std::uint64_t>(out, count);
+    appendLe<std::uint64_t>(out, blockRecords);
+    appendLe<std::uint64_t>(out, blockCount);
+    out += "0123456789abcdef";
+    appendLe<std::uint32_t>(out, 0);
+    for (std::uint64_t offset : offsets)
+        appendLe<std::uint64_t>(out, offset);
+    return out + payload;
 }
 
 TEST(ReplayCache, RoundTripsEveryRecord)
@@ -182,6 +209,78 @@ TEST(ReplayCache, EmptyTraceRoundTrips)
     EXPECT_EQ(cache.records(), 0u);
     EXPECT_TRUE(drain(cache).empty());
 }
+
+TEST(ReplayCache, HandBuiltFileDecodes)
+{
+    // jcrcFile(), which the forged-header tests below use, builds a
+    // file the reader accepts: one 4-byte read of address 0.
+    TempDir dir("jcache_replay_handbuilt");
+    fs::create_directories(dir.path);
+    std::string path = dir.path + "/one.jcrc";
+    writeFile(path, jcrcFile(1, 1, 1, {60}, "\x04\x00\x01"s));
+    MappedReplayCache cache(path);
+    EXPECT_EQ(drain(cache),
+              (std::vector<TraceRecord>{{0, 1, 4, RefType::Read}}));
+}
+
+TEST(ReplayCache, RejectsARecordCountThePayloadCannotHold)
+{
+    // 2^40 records in one block and no payload bytes: refused at
+    // open, not left to throw bad_alloc from the first cursor.
+    TempDir dir("jcache_replay_forged_count");
+    fs::create_directories(dir.path);
+    std::string path = dir.path + "/forged.jcrc";
+    writeFile(path, jcrcFile(1ull << 40, 1ull << 40, 1, {60}));
+    EXPECT_THROW(MappedReplayCache{path}, ReplayCacheError);
+    EXPECT_THROW(loadAnyTrace(path), ReplayCacheError);
+}
+
+TEST(ReplayCache, RejectsABlockCountThatWrapsAround)
+{
+    // 10 records at 2^64-1 records per block need one block; a header
+    // claiming none must not open as a silently empty trace.
+    TempDir dir("jcache_replay_forged_blocks");
+    fs::create_directories(dir.path);
+    std::string path = dir.path + "/forged.jcrc";
+    writeFile(path, jcrcFile(10, ~std::uint64_t{0}, 0, {}));
+    EXPECT_THROW(MappedReplayCache{path}, ReplayCacheError);
+    EXPECT_THROW(loadAnyTrace(path), ReplayCacheError);
+}
+
+TEST(ReplayCache, RejectsCorruptRecords)
+{
+    // Each payload holds one bad record; the header is sound, so the
+    // damage surfaces when the block is decoded.
+    TempDir dir("jcache_replay_records");
+    fs::create_directories(dir.path);
+    std::string path = dir.path + "/bad.jcrc";
+    const std::string payloads[] = {
+        "\x44\x00\x01"s,                    // reserved meta bit set
+        "\x04"s + std::string(10, '\x80'),  // runaway address varint
+        "\x04\x00\x80\x80\x80\x80\x10"s,    // instr delta 2^32
+        "\x04\x00\x01x"s,                   // trailing byte
+    };
+    for (const std::string& payload : payloads) {
+        writeFile(path, jcrcFile(1, 1, 1, {60}, payload));
+        MappedReplayCache cache(path);
+        EXPECT_THROW(drain(cache), ReplayCacheError);
+        EXPECT_THROW(loadAnyTrace(path), ReplayCacheError);
+    }
+}
+
+#ifdef __linux__
+TEST(ReplayCache, FailedOpenReleasesTheMapping)
+{
+    // A file refused at open must not stay mapped: jcached may be
+    // handed any number of them.
+    TempDir dir("jcache_replay_unmap");
+    fs::create_directories(dir.path);
+    std::string path = dir.path + "/forged.jcrc";
+    writeFile(path, jcrcFile(10, ~std::uint64_t{0}, 0, {}));
+    EXPECT_THROW(MappedReplayCache{path}, ReplayCacheError);
+    EXPECT_EQ(readFile("/proc/self/maps").find(path), std::string::npos);
+}
+#endif
 
 } // namespace
 } // namespace jcache::trace

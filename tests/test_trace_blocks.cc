@@ -1,13 +1,16 @@
 /**
  * @file
- * Tests for the zero-copy trace block iterator: coverage, offsets and
- * the edge cases (empty trace, partial final block, zero block size)
- * the one-pass engine's correctness rests on.
+ * Tests for the zero-copy block walk of an in-memory trace
+ * (TraceReplaySource): coverage, offsets and the edge cases (empty
+ * trace, partial final block, zero block size) the one-pass engine's
+ * correctness rests on.
  */
+
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "trace/blocks.hh"
+#include "trace/replay.hh"
 
 namespace jcache::trace
 {
@@ -23,21 +26,32 @@ traceOf(std::size_t records)
     return t;
 }
 
-TEST(BlockRange, EmptyTraceHasNoBlocks)
+/** Every block one cursor of `t` yields at `blockRecords`. */
+std::vector<TraceBlock>
+blocksOf(const Trace& t, std::size_t blockRecords)
 {
-    Trace t = traceOf(0);
-    BlockRange range(t, 4);
-    EXPECT_EQ(range.blockCount(), 0u);
-    EXPECT_TRUE(range.begin() == range.end());
+    TraceReplaySource source(t);
+    std::unique_ptr<BlockCursor> cursor = source.blocks(blockRecords);
+    std::vector<TraceBlock> blocks;
+    TraceBlock block;
+    while (cursor->next(block))
+        blocks.push_back(block);
+    return blocks;
 }
 
-TEST(BlockRange, ExactMultipleSplitsEvenly)
+TEST(TraceReplaySourceBlocks, EmptyTraceHasNoBlocks)
+{
+    Trace t = traceOf(0);
+    EXPECT_TRUE(blocksOf(t, 4).empty());
+}
+
+TEST(TraceReplaySourceBlocks, ExactMultipleSplitsEvenly)
 {
     Trace t = traceOf(8);
-    BlockRange range(t, 4);
-    EXPECT_EQ(range.blockCount(), 2u);
+    std::vector<TraceBlock> blocks = blocksOf(t, 4);
+    EXPECT_EQ(blocks.size(), 2u);
     std::size_t seen = 0;
-    for (TraceBlock block : range) {
+    for (const TraceBlock& block : blocks) {
         EXPECT_EQ(block.count, 4u);
         EXPECT_EQ(block.offset, seen);
         EXPECT_EQ(block.records, t.records().data() + block.offset);
@@ -46,14 +60,12 @@ TEST(BlockRange, ExactMultipleSplitsEvenly)
     EXPECT_EQ(seen, t.size());
 }
 
-TEST(BlockRange, PartialFinalBlockHoldsRemainder)
+TEST(TraceReplaySourceBlocks, PartialFinalBlockHoldsRemainder)
 {
     Trace t = traceOf(10);
-    BlockRange range(t, 4);
-    EXPECT_EQ(range.blockCount(), 3u);
     std::vector<std::size_t> counts;
     std::vector<std::size_t> offsets;
-    for (TraceBlock block : range) {
+    for (const TraceBlock& block : blocksOf(t, 4)) {
         counts.push_back(block.count);
         offsets.push_back(block.offset);
     }
@@ -61,41 +73,31 @@ TEST(BlockRange, PartialFinalBlockHoldsRemainder)
     EXPECT_EQ(offsets, (std::vector<std::size_t>{0, 4, 8}));
 }
 
-TEST(BlockRange, BlockLargerThanTraceYieldsOneBlock)
+TEST(TraceReplaySourceBlocks, BlockLargerThanTraceYieldsOneBlock)
 {
     Trace t = traceOf(3);
-    BlockRange range(t, 100);
-    EXPECT_EQ(range.blockCount(), 1u);
-    auto it = range.begin();
-    EXPECT_EQ((*it).count, 3u);
-    EXPECT_EQ((*it).offset, 0u);
-    ++it;
-    EXPECT_TRUE(it == range.end());
+    std::vector<TraceBlock> blocks = blocksOf(t, 100);
+    ASSERT_EQ(blocks.size(), 1u);
+    EXPECT_EQ(blocks[0].count, 3u);
+    EXPECT_EQ(blocks[0].offset, 0u);
 }
 
-TEST(BlockRange, ZeroBlockSizeClampsToOne)
+TEST(TraceReplaySourceBlocks, ZeroBlockSizeClampsToOne)
 {
     Trace t = traceOf(3);
-    BlockRange range(t, 0);
-    EXPECT_EQ(range.blockCount(), 3u);
-    std::size_t blocks = 0;
-    std::size_t records = 0;
-    for (TraceBlock block : range) {
-        ++blocks;
-        records += block.count;
+    std::vector<TraceBlock> blocks = blocksOf(t, 0);
+    EXPECT_EQ(blocks.size(), 3u);
+    for (const TraceBlock& block : blocks)
         EXPECT_EQ(block.count, 1u);
-    }
-    EXPECT_EQ(blocks, 3u);
-    EXPECT_EQ(records, 3u);
 }
 
-TEST(BlockRange, BlocksCoverEveryRecordInOrder)
+TEST(TraceReplaySourceBlocks, BlocksCoverEveryRecordInOrder)
 {
-    Trace t = traceOf(2048 + 7);  // one default block plus a tail
-    BlockRange range(t);
-    EXPECT_EQ(range.blockCount(), 2u);
+    Trace t = traceOf(kDefaultBlockRecords + 7);  // one block + a tail
+    std::vector<TraceBlock> blocks = blocksOf(t, kDefaultBlockRecords);
+    EXPECT_EQ(blocks.size(), 2u);
     std::size_t next = 0;
-    for (TraceBlock block : range) {
+    for (const TraceBlock& block : blocks) {
         for (std::size_t i = 0; i < block.count; ++i) {
             EXPECT_EQ(block.records[i].addr,
                       t.records()[next].addr);

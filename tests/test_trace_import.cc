@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the trace interchange boundary (trace/import.hh): exact
- * round trips through both documented encodings, typed rejection of
- * malformed input with line/byte positions, encoding sniffing, and
+ * Tests for the trace file boundary (trace/import.hh): exact round
+ * trips through the text encoding and JCRC, typed rejection of
+ * malformed text with line numbers, loadAnyTrace()'s sniffing, and
  * the staleness check that keeps docs/TRACE_FORMAT.md's worked
  * examples in lockstep with the implementation.
  */
@@ -17,6 +17,7 @@
 
 #include "sim/engine.hh"
 #include "trace/import.hh"
+#include "trace/replay_cache.hh"
 #include "util/fault.hh"
 #include "util/logging.hh"
 #include "workloads/workload.hh"
@@ -48,37 +49,46 @@ textBytes(const Trace& t)
 }
 
 std::string
-binaryBytes(const Trace& t)
+readFile(const std::string& path)
 {
+    std::ifstream ifs(path, std::ios::binary);
     std::ostringstream os;
-    exportTraceBinary(t, os);
+    os << ifs.rdbuf();
     return os.str();
 }
 
-/** Overwrite a little-endian field inside serialized bytes. */
 void
-pokeLe(std::string& bytes, std::size_t offset, std::uint64_t value,
-       unsigned width)
+writeFile(const std::string& path, const std::string& bytes)
 {
-    for (unsigned i = 0; i < width; ++i)
-        bytes[offset + i] =
-            static_cast<char>((value >> (8 * i)) & 0xff);
+    std::ofstream ofs(path, std::ios::binary | std::ios::trunc);
+    ofs.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/** Expect a TraceParseError pinned to the given position. */
+/** `t` written as JCRC and read back through loadAnyTrace(). */
+Trace
+viaJcrc(const Trace& t)
+{
+    const std::string path =
+        ::testing::TempDir() + "/jcache_import_roundtrip.jct";
+    writeReplayCache(t, path);
+    Trace loaded = loadAnyTrace(path);
+    std::remove(path.c_str());
+    return loaded;
+}
+
+/** Expect a TraceParseError pinned to the given line. */
 template <typename Fn>
 TraceParseError
-expectParseError(Fn&& fn, std::uint64_t position, bool byte_offset)
+expectParseError(Fn&& fn, std::uint64_t line)
 {
     try {
         fn();
     } catch (const TraceParseError& e) {
-        EXPECT_EQ(e.position(), position) << e.what();
-        EXPECT_EQ(e.isByteOffset(), byte_offset) << e.what();
+        EXPECT_EQ(e.line(), line) << e.what();
         return e;
     }
     ADD_FAILURE() << "expected TraceParseError";
-    return TraceParseError("", 0, false, "");
+    return TraceParseError("", 0, "");
 }
 
 TEST(TraceImportText, RoundTripsExactly)
@@ -138,24 +148,24 @@ TEST(TraceImportText, RejectsMalformedLinesWithLineNumbers)
     };
     // Bad opcode on line 2 (line 1 is a comment).
     TraceParseError e = expectParseError(
-        importAt("# ok\nx 0x10 4\n"), 2, false);
+        importAt("# ok\nx 0x10 4\n"), 2);
     EXPECT_NE(std::string(e.what()).find("bad opcode 'x'"),
               std::string::npos);
     EXPECT_EQ(e.source(), "<text>");
 
     // Bad address (non-hex, and wider than 16 digits).
-    expectParseError(importAt("r zz 4\n"), 1, false);
-    expectParseError(importAt("r 0x10000000000000000 4\n"), 1, false);
+    expectParseError(importAt("r zz 4\n"), 1);
+    expectParseError(importAt("r 0x10000000000000000 4\n"), 1);
     // Bad size (not a power of two <= 8, or non-numeric).
-    expectParseError(importAt("r 0x10 3\n"), 1, false);
-    expectParseError(importAt("r 0x10 16\n"), 1, false);
-    expectParseError(importAt("r 0x10 4q\n"), 1, false);
+    expectParseError(importAt("r 0x10 3\n"), 1);
+    expectParseError(importAt("r 0x10 16\n"), 1);
+    expectParseError(importAt("r 0x10 4q\n"), 1);
     // Bad instruction delta (> 2^32-1, or non-numeric).
-    expectParseError(importAt("r 0x10 4 4294967296\n"), 1, false);
-    expectParseError(importAt("r 0x10 4 -1\n"), 1, false);
+    expectParseError(importAt("r 0x10 4 4294967296\n"), 1);
+    expectParseError(importAt("r 0x10 4 -1\n"), 1);
     // Wrong field counts.
-    expectParseError(importAt("r 0x10\n"), 1, false);
-    expectParseError(importAt("r 0x10 4 1 extra\n"), 1, false);
+    expectParseError(importAt("r 0x10\n"), 1);
+    expectParseError(importAt("r 0x10 4 1 extra\n"), 1);
 }
 
 TEST(TraceImportText, RejectsOverlongLinesAndBinaryBytes)
@@ -166,7 +176,7 @@ TEST(TraceImportText, RejectsOverlongLinesAndBinaryBytes)
             std::istringstream is("r 0x10 4\n" + overlong + "\n");
             importTraceText(is, "bad");
         },
-        2, false);
+        2);
     EXPECT_NE(std::string(e.what()).find("exceeds"),
               std::string::npos);
 
@@ -177,7 +187,7 @@ TEST(TraceImportText, RejectsOverlongLinesAndBinaryBytes)
             std::istringstream is(nul_body);
             importTraceText(is, "bad");
         },
-        2, false);
+        2);
 }
 
 TEST(TraceImportText, ErrorMessageSpellsSourceAndLine)
@@ -194,194 +204,60 @@ TEST(TraceImportText, ErrorMessageSpellsSourceAndLine)
     }
 }
 
-TEST(TraceImportBinary, RoundTripsExactly)
-{
-    Trace original = sampleTrace();
-    std::istringstream is(binaryBytes(original));
-    Trace loaded = importTraceBinary(is, "sample");
-    EXPECT_EQ(loaded, original);
-}
-
-TEST(TraceImportBinary, EmptyTraceRoundTrips)
-{
-    std::istringstream is(binaryBytes(Trace("empty")));
-    Trace t = importTraceBinary(is, "empty");
-    EXPECT_TRUE(t.empty());
-    EXPECT_EQ(t.name(), "empty");
-}
-
-TEST(TraceImportBinary, CompactOnLocalTraces)
-{
-    // The point of the delta encoding: a sequential pattern costs a
-    // few bytes per record, far below the 17-byte native raw record.
-    Trace t("sequential");
-    for (Addr a = 0x10000; a < 0x10000 + 32 * 1024; a += 8)
-        t.append({a, 2, 8, RefType::Read});
-    EXPECT_LT(binaryBytes(t).size(), t.size() * 4 + 64);
-}
-
-TEST(TraceImportBinary, RejectsTamperedHeaders)
-{
-    std::string pristine = binaryBytes(sampleTrace());
-
-    std::string bad_magic = pristine;
-    bad_magic[0] = 'X';
-    expectParseError(
-        [&] {
-            std::istringstream is(bad_magic);
-            importTraceBinary(is, "x");
-        },
-        0, true);
-
-    std::string bad_version = pristine;
-    bad_version[4] = 99;
-    TraceParseError e = expectParseError(
-        [&] {
-            std::istringstream is(bad_version);
-            importTraceBinary(is, "x");
-        },
-        4, true);
-    EXPECT_NE(std::string(e.what()).find("version"),
-              std::string::npos);
-
-    std::string bad_flags = pristine;
-    bad_flags[6] = 1;
-    expectParseError(
-        [&] {
-            std::istringstream is(bad_flags);
-            importTraceBinary(is, "x");
-        },
-        6, true);
-
-    // A forged record count cannot cause a giant allocation or a
-    // silent partial read: the claim is checked against the bytes
-    // that actually follow.  Count field: magic(4)+ver(2)+flags(2).
-    std::string forged = pristine;
-    pokeLe(forged, 8, 1ull << 60, 8);
-    e = expectParseError(
-        [&] {
-            std::istringstream is(forged);
-            importTraceBinary(is, "x");
-        },
-        16, true);
-    EXPECT_NE(std::string(e.what()).find("header claims"),
-              std::string::npos);
-}
-
-TEST(TraceImportBinary, RejectsCorruptRecords)
-{
-    std::string pristine = binaryBytes(sampleTrace());
-
-    // Reserved meta bits (first record's meta byte is at offset 16).
-    std::string bad_meta = pristine;
-    bad_meta[16] = static_cast<char>(bad_meta[16] | 0x40);
-    TraceParseError e = expectParseError(
-        [&] {
-            std::istringstream is(bad_meta);
-            importTraceBinary(is, "x");
-        },
-        16, true);
-    EXPECT_NE(std::string(e.what()).find("reserved meta bits"),
-              std::string::npos);
-
-    // Trailing bytes after the advertised records.
-    std::istringstream padded(pristine + "x");
-    EXPECT_THROW(importTraceBinary(padded, "x"), TraceParseError);
-
-    // An unterminated varint (ten continuation bytes) cannot loop.
-    std::string header = pristine.substr(0, 16);
-    pokeLe(header, 8, 1, 8);
-    std::string runaway = header;
-    runaway += '\x04';  // meta: read, 4 bytes
-    runaway += std::string(10, '\x80');
-    std::istringstream is(runaway);
-    EXPECT_THROW(importTraceBinary(is, "x"), TraceParseError);
-
-    // An instruction delta above 2^32-1 is rejected, not truncated.
-    std::string oversized = header;
-    oversized += '\x04';
-    oversized += '\x00';  // addr delta 0
-    oversized += "\x80\x80\x80\x80\x10";  // varint 2^32
-    std::istringstream is2(oversized);
-    e = expectParseError(
-        [&] { importTraceBinary(is2, "x"); }, 17, true);
-    EXPECT_NE(std::string(e.what()).find("out of range"),
-              std::string::npos);
-}
-
-TEST(TraceImportBinary, TruncationFuzzAlwaysThrows)
-{
-    const std::string pristine = binaryBytes(sampleTrace());
-    for (std::size_t len = 0; len < pristine.size(); ++len) {
-        std::istringstream is(pristine.substr(0, len));
-        EXPECT_THROW(importTraceBinary(is, "x"), TraceParseError)
-            << "prefix of " << len << " bytes parsed";
-    }
-}
-
-TEST(TraceImportSniff, DispatchesAllFourEncodings)
-{
-    Trace original = sampleTrace();
-
-    // Native raw and compressed: the embedded name wins.
-    for (bool compressed : {false, true}) {
-        std::stringstream native;
-        if (compressed)
-            writeTraceCompressed(original, native);
-        else
-            writeTrace(original, native);
-        Trace t = importTrace(native, "ignored");
-        EXPECT_EQ(t, original);
-        EXPECT_EQ(t.name(), "sample");
-    }
-
-    // Interchange binary and text: the caller's name is used.
-    std::istringstream jctx(binaryBytes(original));
-    Trace b = importTrace(jctx, "mine");
-    EXPECT_EQ(b.name(), "mine");
-    EXPECT_TRUE(std::equal(b.begin(), b.end(), original.begin()));
-
-    std::istringstream text(textBytes(original));
-    Trace x = importTrace(text, "mine");
-    EXPECT_EQ(x.name(), "mine");
-    EXPECT_TRUE(std::equal(x.begin(), x.end(), original.begin()));
-}
-
-TEST(TraceImportSniff, ShortStreamsFallThroughToText)
-{
-    // Fewer than four bytes cannot be any binary encoding; they are
-    // text (here: blank, so an empty trace).
-    std::istringstream tiny("\n");
-    EXPECT_TRUE(importTrace(tiny, "t").empty());
-}
-
 TEST(TraceImportFiles, LoadAnyTraceHandlesEveryEncoding)
 {
     Trace original = sampleTrace();
     std::string dir = ::testing::TempDir();
 
+    // The binary files carry their own name.
+    std::string jcrc = dir + "/any_jcrc.jct";
+    writeReplayCache(original, jcrc);
+    EXPECT_EQ(readFile(jcrc).substr(0, 4), "JCRC");
+    EXPECT_EQ(loadAnyTrace(jcrc), original);
+
     std::string native = dir + "/any_native.jct";
     saveTrace(original, native);
-    EXPECT_EQ(loadAnyTrace(native), original);  // embedded name
+    EXPECT_EQ(loadAnyTrace(native), original);
 
+    // Text: the stem names the import.
     std::string text = dir + "/any_text.txt";
     saveTraceText(original, text);
     Trace t = loadAnyTrace(text);
-    EXPECT_EQ(t.name(), "any_text");  // stem names the import
-    EXPECT_TRUE(std::equal(t.begin(), t.end(), original.begin()));
+    EXPECT_EQ(t.name(), "any_text");
+    EXPECT_TRUE(std::equal(t.begin(), t.end(), original.begin(),
+                           original.end()));
 
-    std::string binary = dir + "/any_binary.jctx";
-    saveTraceBinary(original, binary);
-    Trace b = loadAnyTrace(binary);
-    EXPECT_EQ(b.name(), "any_binary");
-    EXPECT_TRUE(std::equal(b.begin(), b.end(), original.begin()));
-
-    // loadTraceText / loadTraceBinary agree with loadAnyTrace.
-    EXPECT_EQ(loadTraceText(text), t);
-    EXPECT_EQ(loadTraceBinary(binary), b);
-
-    for (const std::string& path : {native, text, binary})
+    for (const std::string& path : {jcrc, native, text})
         std::remove(path.c_str());
+}
+
+TEST(TraceImportFiles, ShortFilesFallThroughToText)
+{
+    // Fewer than four bytes cannot be a binary file; they are text
+    // (here: blank, so an empty trace; "JCR" is a malformed line).
+    std::string path = ::testing::TempDir() + "/any_short.txt";
+    writeFile(path, "\n");
+    EXPECT_TRUE(loadAnyTrace(path).empty());
+    writeFile(path, "JCR");
+    expectParseError([&] { loadAnyTrace(path); }, 1);
+    std::remove(path.c_str());
+}
+
+TEST(TraceImportFiles, FailedTextExportKeepsTheOldFile)
+{
+    // A failed save must not truncate the file it would replace: the
+    // old file still loads with all of its records.
+    std::string path = ::testing::TempDir() + "/any_export.txt";
+    Trace original = sampleTrace();
+    saveTraceText(original, path);
+    fault::configure("trace.write=always");
+    EXPECT_THROW(saveTraceText(Trace("other"), path), FatalError);
+    fault::reset();
+    Trace loaded = loadAnyTrace(path);
+    EXPECT_EQ(loaded.size(), original.size());
+    EXPECT_TRUE(std::equal(loaded.begin(), loaded.end(),
+                           original.begin(), original.end()));
+    std::remove(path.c_str());
 }
 
 TEST(TraceImportFiles, CorruptFileErrorsNameThePath)
@@ -421,8 +297,7 @@ TEST(TraceImportFiles, ParseErrorsNameTheFileAndLine)
         FAIL() << "expected TraceParseError";
     } catch (const TraceParseError& e) {
         EXPECT_EQ(e.source(), path);
-        EXPECT_EQ(e.position(), 2u);
-        EXPECT_FALSE(e.isByteOffset());
+        EXPECT_EQ(e.line(), 2u);
     }
     std::remove(path.c_str());
 }
@@ -430,28 +305,26 @@ TEST(TraceImportFiles, ParseErrorsNameTheFileAndLine)
 TEST(TraceImportFiles, DefaultTraceNameIsTheStem)
 {
     EXPECT_EQ(defaultTraceName("/a/b/foo.txt"), "foo");
-    EXPECT_EQ(defaultTraceName("bar.trace.jctx"), "bar.trace");
+    EXPECT_EQ(defaultTraceName("bar.trace.txt"), "bar.trace");
     EXPECT_EQ(defaultTraceName(""), "trace");
 }
 
 TEST(TraceImportFault, InjectedImportFaultSurfacesTyped)
 {
     fault::configure("trace.import=always");
-    std::istringstream text("r 0x10 4\n");
+    std::istringstream text(textBytes(sampleTrace()));
     EXPECT_THROW(importTraceText(text, "x"), TraceParseError);
-    std::istringstream binary(binaryBytes(sampleTrace()));
-    EXPECT_THROW(importTraceBinary(binary, "x"), TraceParseError);
     fault::reset();
 
-    std::istringstream retry(binaryBytes(sampleTrace()));
-    EXPECT_EQ(importTraceBinary(retry, "sample"), sampleTrace());
+    std::istringstream retry(textBytes(sampleTrace()));
+    EXPECT_EQ(importTraceText(retry, "sample"), sampleTrace());
 }
 
 class WorkloadRoundTrip : public ::testing::TestWithParam<std::string>
 {
 };
 
-TEST_P(WorkloadRoundTrip, BothEncodingsReproduceTheRecordStream)
+TEST_P(WorkloadRoundTrip, TextAndJcrcReproduceTheRecordStream)
 {
     workloads::WorkloadConfig config;
     config.scale = 1;
@@ -461,8 +334,7 @@ TEST_P(WorkloadRoundTrip, BothEncodingsReproduceTheRecordStream)
     std::istringstream text(textBytes(original));
     EXPECT_EQ(importTraceText(text, original.name()), original);
 
-    std::istringstream binary(binaryBytes(original));
-    EXPECT_EQ(importTraceBinary(binary, original.name()), original);
+    EXPECT_EQ(viaJcrc(original), original);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -553,10 +425,10 @@ hexToBytes(const std::string& hex)
 
 TEST(TraceFormatDoc, WorkedExamplesMatchTheImplementation)
 {
-    // docs/TRACE_FORMAT.md carries one example trace in both
-    // encodings.  Both blocks must parse, must describe the same
-    // records, and must be byte-for-byte what the exporters emit —
-    // so any change to either encoding forces a doc update.
+    // docs/TRACE_FORMAT.md carries one example trace as text and as
+    // a JCRC file.  Both blocks must parse, must describe the same
+    // records, and must be byte-for-byte what the writers emit — so
+    // any change to either format forces a doc update.
     std::string doc = readDoc();
 
     std::string text_block =
@@ -568,16 +440,25 @@ TEST(TraceFormatDoc, WorkedExamplesMatchTheImplementation)
     EXPECT_EQ(textBytes(from_text), text_block)
         << "text example is not the canonical export";
 
+    // The JCRC example holds the same records: loadAnyTrace() reads
+    // it back, and writeReplayCache() at the example's block size
+    // reproduces it byte for byte.
     std::string hex_block =
-        fencedBlockAfter(doc, "<!-- example:binary-hex -->");
+        fencedBlockAfter(doc, "<!-- example:jcrc-hex -->");
     ASSERT_FALSE(hex_block.empty());
     std::string bytes = hexToBytes(hex_block);
-    std::istringstream bin_is(bytes);
-    Trace from_binary = importTraceBinary(bin_is, "example");
-    EXPECT_EQ(from_binary, from_text)
+    const std::string path =
+        ::testing::TempDir() + "/jcache_doc_example.jct";
+    writeFile(path, bytes);
+    Trace from_jcrc = loadAnyTrace(path);
+    EXPECT_EQ(from_jcrc, from_text)
         << "the two example blocks describe different traces";
-    EXPECT_EQ(binaryBytes(from_text), bytes)
-        << "binary example is not what exportTraceBinary emits";
+    const std::size_t block_records =
+        MappedReplayCache(path).blockRecords();
+    writeReplayCache(from_text, path, block_records);
+    EXPECT_EQ(readFile(path), bytes)
+        << "JCRC example is not what writeReplayCache emits";
+    std::remove(path.c_str());
 }
 
 #endif // JCACHE_DOCS_DIR

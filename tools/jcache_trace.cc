@@ -4,9 +4,9 @@
  *
  * Usage:
  *   jcache-trace generate <workload> <out.jct> [--scale N] [--seed S]
- *   jcache-trace export <trace | workload> <out>
- *       [--format text|binary] [--scale N] [--seed S]
- *   jcache-trace import <in> <out.jct> [--name NAME] [--compress]
+ *   jcache-trace export <trace | workload> <out.txt>
+ *       [--scale N] [--seed S]
+ *   jcache-trace import <in> <out.jct> [--name NAME]
  *   jcache-trace info <trace.jct> [--json [path]]
  *   jcache-trace summary <trace> [--json [path]]
  *   jcache-trace head <trace> [count]
@@ -16,16 +16,18 @@
  * stdout, or to a path), spelled exactly as in every other jcache
  * tool.
  *
- * `info` reads only the file header (format, version, record count,
- * workload name) — constant time however large the trace; `summary`
- * loads the records and prints the full reference-mix statistics.
+ * `generate` and `import` write JCRC, the one binary trace format
+ * (docs/TRACE_FORMAT.md).  `info` reads only the file header (format,
+ * version, record count, workload name) of a JCRC or raw JCTR file,
+ * decoding no record; `summary` loads the records and prints the
+ * full reference-mix statistics.
  *
- * `export` writes a trace (an existing file of any encoding, or a
- * workload generated on the fly) in one of the interchange encodings
- * of docs/TRACE_FORMAT.md; `import` converts any supported encoding
- * into a native trace file.  export -> import round-trips exactly:
- * the re-imported record stream is identical, so simulations over it
- * are byte-identical.  summary/head accept any encoding.
+ * `export` writes a trace (an existing file of any kind, or a
+ * workload generated on the fly) in the text interchange encoding;
+ * `import` converts any trace file into JCRC.  export -> import
+ * round-trips exactly: the re-imported record stream is identical, so
+ * simulations over it are byte-identical.  summary/head accept any
+ * trace file.
  *
  * Workloads: ccom grr yacc met linpack liver
  *            kvstore bfs marksweep
@@ -36,6 +38,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "cli_common.hh"
@@ -43,6 +46,7 @@
 #include "stats/table.hh"
 #include "trace/file_io.hh"
 #include "trace/import.hh"
+#include "trace/replay_cache.hh"
 #include "trace/summary.hh"
 #include "util/logging.hh"
 #include "util/version.hh"
@@ -86,11 +90,10 @@ usage()
     std::cerr <<
         "usage:\n"
         "  jcache-trace generate <workload> <out.jct> "
-        "[--scale N] [--seed S] [--compress]\n"
-        "  jcache-trace export <trace | workload> <out> "
-        "[--format text|binary] [--scale N] [--seed S]\n"
-        "  jcache-trace import <in> <out.jct> "
-        "[--name NAME] [--compress]\n"
+        "[--scale N] [--seed S]\n"
+        "  jcache-trace export <trace | workload> <out.txt> "
+        "[--scale N] [--seed S]\n"
+        "  jcache-trace import <in> <out.jct> [--name NAME]\n"
         "  jcache-trace info <trace.jct> [--json [path]]\n"
         "  jcache-trace summary <trace> [--json [path]]\n"
         "  jcache-trace head <trace> [count]\n"
@@ -98,78 +101,59 @@ usage()
     return 2;
 }
 
-int
-cmdGenerate(int argc, char** argv)
+/**
+ * The workload flags of generate and export (`--scale N`, `--seed S`)
+ * after the two positional arguments; nullopt for anything else.
+ */
+std::optional<workloads::WorkloadConfig>
+parseWorkloadFlags(int argc, char** argv)
 {
-    if (argc < 4)
-        return usage();
     workloads::WorkloadConfig config;
-    bool compress = false;
     for (int i = 4; i < argc; ++i) {
         std::string flag = argv[i];
-        if (flag == "--compress") {
-            compress = true;
-        } else if (flag == "--scale" && i + 1 < argc) {
+        if (flag == "--scale" && i + 1 < argc) {
             config.scale = static_cast<unsigned>(
                 std::strtoul(argv[++i], nullptr, 10));
         } else if (flag == "--seed" && i + 1 < argc) {
             config.seed = std::strtoull(argv[++i], nullptr, 10);
         } else {
-            return usage();
+            return std::nullopt;
         }
     }
-    auto workload = makeAnyWorkload(argv[2], config);
-    trace::Trace trace = workloads::generateTrace(*workload);
-    if (compress)
-        trace::saveTraceCompressed(trace, argv[3]);
-    else
-        trace::saveTrace(trace, argv[3]);
-    std::cout << "wrote " << trace.size() << " records ("
-              << workload->description() << ") to " << argv[3]
-              << (compress ? " [compressed]" : "") << "\n";
-    return 0;
+    return config;
 }
 
-/** A trace file of any encoding, or a workload generated on demand. */
-trace::Trace
-resolveTrace(const std::string& source,
-             const workloads::WorkloadConfig& config)
+int
+cmdGenerate(int argc, char** argv)
 {
-    if (std::filesystem::exists(source))
-        return trace::loadAnyTrace(source);
-    return workloads::generateTrace(*makeAnyWorkload(source, config));
+    std::optional<workloads::WorkloadConfig> config =
+        parseWorkloadFlags(argc, argv);
+    if (argc < 4 || !config)
+        return usage();
+    auto workload = makeAnyWorkload(argv[2], *config);
+    trace::Trace trace = workloads::generateTrace(*workload);
+    trace::writeReplayCache(trace, argv[3]);
+    std::cout << "wrote " << trace.size() << " records ("
+              << workload->description() << ") to " << argv[3] << "\n";
+    return 0;
 }
 
 int
 cmdExport(int argc, char** argv)
 {
-    if (argc < 4)
+    std::optional<workloads::WorkloadConfig> config =
+        parseWorkloadFlags(argc, argv);
+    if (argc < 4 || !config)
         return usage();
-    workloads::WorkloadConfig config;
-    std::string format = "text";
-    for (int i = 4; i < argc; ++i) {
-        std::string flag = argv[i];
-        if (flag == "--format" && i + 1 < argc) {
-            format = argv[++i];
-        } else if (flag == "--scale" && i + 1 < argc) {
-            config.scale = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (flag == "--seed" && i + 1 < argc) {
-            config.seed = std::strtoull(argv[++i], nullptr, 10);
-        } else {
-            return usage();
-        }
-    }
-    if (format != "text" && format != "binary")
-        return usage();
-    trace::Trace trace = resolveTrace(argv[2], config);
-    if (format == "text")
-        trace::saveTraceText(trace, argv[3]);
-    else
-        trace::saveTraceBinary(trace, argv[3]);
+    // A trace file of any kind, or a workload generated on demand.
+    const std::string source = argv[2];
+    trace::Trace trace =
+        std::filesystem::exists(source)
+            ? trace::loadAnyTrace(source)
+            : workloads::generateTrace(*makeAnyWorkload(source, *config));
+    trace::saveTraceText(trace, argv[3]);
     std::cout << "exported " << trace.size() << " records ("
-              << trace.name() << ") to " << argv[3] << " ["
-              << format << "]\n";
+              << trace.name() << ") to " << argv[3] << "\n";
     return 0;
 }
 
@@ -179,27 +163,19 @@ cmdImport(int argc, char** argv)
     if (argc < 4)
         return usage();
     std::string name;
-    bool compress = false;
     for (int i = 4; i < argc; ++i) {
         std::string flag = argv[i];
-        if (flag == "--compress") {
-            compress = true;
-        } else if (flag == "--name" && i + 1 < argc) {
+        if (flag == "--name" && i + 1 < argc)
             name = argv[++i];
-        } else {
+        else
             return usage();
-        }
     }
     trace::Trace trace = trace::loadAnyTrace(argv[2]);
     if (!name.empty())
         trace.setName(name);
-    if (compress)
-        trace::saveTraceCompressed(trace, argv[3]);
-    else
-        trace::saveTrace(trace, argv[3]);
+    trace::writeReplayCache(trace, argv[3]);
     std::cout << "imported " << trace.size() << " records ("
-              << trace.name() << ") to " << argv[3]
-              << (compress ? " [compressed]" : "") << "\n";
+              << trace.name() << ") to " << argv[3] << "\n";
     return 0;
 }
 
@@ -213,7 +189,7 @@ cmdInfo(int argc, char** argv)
         if (!tools::parseCommonFlag(argc, argv, i, tools::kFlagJson,
                                     common))
             return usage();
-    // Header only: no record loading, no replay, constant time.
+    // Header only: no record is decoded.
     trace::TraceFileInfo info = trace::loadTraceInfo(argv[2]);
     std::uintmax_t file_bytes = std::filesystem::file_size(argv[2]);
 
