@@ -14,6 +14,7 @@
 #include <chrono>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/data_cache.hh"
@@ -189,14 +190,6 @@ BM_GridSweepParallel(benchmark::State& state)
         static_cast<double>(grid.size());
 }
 
-/**
- * Acceptance benchmark for the one-pass engine: the union Figure
- * 13-16 grid (all four write-miss policies over the cache-size axis
- * at 16B lines and the line-size axis at 8KB) on one trace, single
- * worker, one-pass vs per-cell.  The "speedup_vs_percell" counter is
- * the headline number: the one-pass engine decodes the trace once per
- * chunk of lanes instead of once per cell, and must come out >= 2x.
- */
 /** The union Figure 13-16 grid for one trace (52 cells). */
 std::vector<sim::Request>
 onePassGrid(const trace::Trace& trace)
@@ -227,28 +220,78 @@ onePassGrid(const trace::Trace& trace)
     return requests;
 }
 
-void
-BM_OnePassSweep(benchmark::State& state)
+/**
+ * The associativity and valid-granularity grid for one trace (26
+ * cells), every cell a set-kernel lane: 8KB/16B caches at 2, 4 and 8
+ * ways under LRU, FIFO and random replacement, write-back
+ * fetch-on-write and write-through write-validate; plus direct-mapped
+ * write-through write-validate with 4-byte valid granularity over the
+ * cache-size axis.
+ */
+std::vector<sim::Request>
+assocGrid(const trace::Trace& trace)
 {
-    const trace::Trace& trace = sim::TraceSet::standard().get("grr");
-    std::vector<sim::Request> requests = onePassGrid(trace);
+    const std::pair<core::WriteHitPolicy, core::WriteMissPolicy>
+        policies[] = {
+            {core::WriteHitPolicy::WriteBack,
+             core::WriteMissPolicy::FetchOnWrite},
+            {core::WriteHitPolicy::WriteThrough,
+             core::WriteMissPolicy::WriteValidate},
+        };
+    std::vector<sim::Request> requests;
+    for (core::ReplacementPolicy replacement :
+         {core::ReplacementPolicy::Lru, core::ReplacementPolicy::Fifo,
+          core::ReplacementPolicy::Random})
+        for (auto [hit, miss] : policies)
+            for (unsigned ways : {2u, 4u, 8u}) {
+                core::CacheConfig c;
+                c.hitPolicy = hit;
+                c.missPolicy = miss;
+                c.replacement = replacement;
+                c.assoc = ways;
+                requests.push_back({&trace, c, false});
+            }
+    for (Count size : sim::standardCacheSizes()) {
+        core::CacheConfig c;
+        c.sizeBytes = size;
+        c.hitPolicy = core::WriteHitPolicy::WriteThrough;
+        c.missPolicy = core::WriteMissPolicy::WriteValidate;
+        c.validGranularity = 4;
+        requests.push_back({&trace, c, false});
+    }
+    return requests;
+}
 
-    sim::BatchOptions jobs1;
-    jobs1.jobs = 1;
+/** The grid a BM_OnePassSweep* argument names: 0 or 1. */
+std::vector<sim::Request>
+sweepGrid(const trace::Trace& trace, std::int64_t grid)
+{
+    return grid == 0 ? onePassGrid(trace) : assocGrid(trace);
+}
 
-    // Per-cell reference at the same worker count, measured once.
-    static double percell_seconds = [&] {
-        sim::BatchOptions options = jobs1;
+/**
+ * Time `requests` through the one-pass engine at one worker and
+ * report `speedup_vs_percell`: the per-cell engine's time for the same
+ * grid at the same worker count, measured once per process into
+ * `percell_seconds`, over the one-pass time per iteration.
+ */
+void
+timeOnePass(benchmark::State& state,
+            const std::vector<sim::Request>& requests,
+            double& percell_seconds)
+{
+    sim::BatchOptions options;
+    options.jobs = 1;
+    if (percell_seconds == 0.0) {
         options.engine = sim::Engine::PerCell;
         auto start = std::chrono::steady_clock::now();
         sim::BatchOutcome outcome = sim::runBatch(requests, options);
         benchmark::DoNotOptimize(outcome.results.data());
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - start)
-            .count();
-    }();
+        percell_seconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+    }
 
-    sim::BatchOptions options = jobs1;
     options.engine = sim::Engine::OnePass;
     Count total = 0;
     double wall = 0.0;
@@ -271,7 +314,27 @@ BM_OnePassSweep(benchmark::State& state)
 }
 
 /**
- * The same grid replayed from the mmap'd JCRC cache (the
+ * Acceptance benchmark for the one-pass engine: one grid on one
+ * trace, single worker, one-pass vs per-cell.  Argument 0 is the
+ * union Figure 13-16 grid (all four write-miss policies over the
+ * cache-size axis at 16B lines and the line-size axis at 8KB), every
+ * cell a direct-mapped lane; argument 1 is the associativity and
+ * valid-granularity grid, every cell a set-kernel lane.  The
+ * "speedup_vs_percell" counter is the headline number: the one-pass
+ * engine decodes the trace once per chunk of lanes instead of once
+ * per cell, and must come out >= 2x.
+ */
+void
+BM_OnePassSweep(benchmark::State& state)
+{
+    const trace::Trace& trace = sim::TraceSet::standard().get("grr");
+    static double percell_seconds[2] = {};
+    timeOnePass(state, sweepGrid(trace, state.range(0)),
+                percell_seconds[state.range(0)]);
+}
+
+/**
+ * The same grids replayed from the mmap'd JCRC cache (the
  * --trace-cache-dir trajectory): the replay cache is written once per
  * process, then every pass decodes blocks straight off the mapping
  * instead of the in-memory record array.  speedup_vs_percell is
@@ -288,44 +351,12 @@ BM_OnePassSweepMapped(benchmark::State& state)
             .string();
     static const trace::MappedReplayCache mapped(
         trace::ensureReplayCache(trace, dir));
-    std::vector<sim::Request> requests = onePassGrid(trace);
+    std::vector<sim::Request> requests =
+        sweepGrid(trace, state.range(0));
     for (sim::Request& r : requests)
         r.source = &mapped;
-
-    sim::BatchOptions jobs1;
-    jobs1.jobs = 1;
-
-    static double percell_seconds = [&] {
-        sim::BatchOptions options = jobs1;
-        options.engine = sim::Engine::PerCell;
-        auto start = std::chrono::steady_clock::now();
-        sim::BatchOutcome outcome = sim::runBatch(requests, options);
-        benchmark::DoNotOptimize(outcome.results.data());
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - start)
-            .count();
-    }();
-
-    sim::BatchOptions options = jobs1;
-    options.engine = sim::Engine::OnePass;
-    Count total = 0;
-    double wall = 0.0;
-    for (auto _ : state) {
-        auto start = std::chrono::steady_clock::now();
-        sim::BatchOutcome outcome = sim::runBatch(requests, options);
-        wall += std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-        total += outcome.report.totalInstructions();
-        benchmark::DoNotOptimize(outcome.results.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(total));
-    state.counters["speedup_vs_percell"] =
-        wall > 0.0 ? percell_seconds *
-                         static_cast<double>(state.iterations()) / wall
-                   : 0.0;
-    state.counters["grid_cells"] =
-        static_cast<double>(requests.size());
+    static double percell_seconds[2] = {};
+    timeOnePass(state, requests, percell_seconds[state.range(0)]);
 }
 
 BENCHMARK(BM_WriteBackFetchOnWrite);
@@ -340,8 +371,16 @@ BENCHMARK(BM_GridSweepParallel)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_OnePassSweep)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_OnePassSweepMapped)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_OnePassSweep)
+    ->ArgName("grid")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_OnePassSweepMapped)
+    ->ArgName("grid")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -11,7 +11,8 @@
  *    (no-write-allocate policies require write-through);
  *  - per-byte valid bits (write-validate sub-blocking) and per-byte
  *    dirty bits (Section 5.2 byte-level victim accounting);
- *  - direct-mapped or LRU set-associative placement;
+ *  - direct-mapped or set-associative placement, with LRU, FIFO or
+ *    random replacement;
  *  - flush() for flush-stop accounting vs. the default cold stop.
  *
  * Miss accounting follows Section 4's "eliminated miss" definitions

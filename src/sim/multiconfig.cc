@@ -2,37 +2,46 @@
  * @file
  * Implementation of the one-pass multi-configuration engine.
  *
- * The fast-lane replay mirrors DataCache::readPiece / writePiece /
- * evict / flush counter for counter; any change to those must be
- * reflected here (the differential test will catch a divergence).
+ * Every lane replay mirrors DataCache::readPiece / writePiece /
+ * victimWay / evict / flush counter for counter; any change to those
+ * must be reflected here (the differential test will catch a
+ * divergence).
  *
- * Two replay paths implement those semantics:
+ * Every lane keeps its state in one FastLane, and two kernels replay
+ * it, both fed by the same per-line-size piece decode:
  *
- *  - applyPiece() — the scalar reference kernel, one lane at a time.
- *  - replayTileAvx2() — four lanes of one policy group at once: the
- *    tag compare, valid-mask test and hot counter increments run as
- *    256-bit vector operations (tags gathered from the four lanes'
- *    SoA arrays with 64-bit gathers), and any lane that falls off the
- *    all-hit fast path is handed to applyPiece() for that one access.
+ *  - The direct-mapped kernels, for byte-granular direct-mapped lanes
+ *    (fastLaneEligible()):
+ *    - applyPiece() — the scalar reference kernel, one lane at a time.
+ *    - replayTileAvx2() — four lanes of one policy group at once: the
+ *      tag compare, valid-mask test and hot counter increments run as
+ *      256-bit vector operations (tags gathered from the four lanes'
+ *      SoA arrays with 64-bit gathers), and any lane that falls off
+ *      the all-hit fast path is handed to applyPiece() for that one
+ *      access.
+ *  - FastLane::replaySet() — the set kernel, scalar, for every other
+ *    lane: any associativity under LRU, FIFO or random replacement,
+ *    and any valid-bit granularity.
  *
- * Byte identity between the two is structural: the vector path only
- * ever (a) performs the exact state updates the scalar kernel would
- * and (b) accumulates the same counter increments in a different
- * order, and counter accumulation is integer addition, which is
- * associative and commutative.  tests/test_simd.cc and the engine
- * differential suite verify the equivalence on adversarial traces.
+ * Byte identity between the two direct-mapped paths is structural:
+ * the vector path only ever (a) performs the exact state updates the
+ * scalar kernel would and (b) accumulates the same counter increments
+ * in a different order, and counter accumulation is integer addition,
+ * which is associative and commutative.  tests/test_simd.cc and the
+ * engine differential suite verify the equivalence on adversarial
+ * traces, and hold the set kernel to DataCache over an associativity,
+ * replacement and granularity grid.
  */
 
 #include "sim/multiconfig.hh"
 
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 
-#include "core/data_cache.hh"
 #include "core/geometry.hh"
-#include "mem/traffic_meter.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/trace_writer.hh"
 #include "util/bitops.hh"
@@ -44,6 +53,7 @@ namespace jcache::sim
 namespace
 {
 
+using core::ReplacementPolicy;
 using core::WriteMissPolicy;
 
 /** Sentinel "no line here" tag; also doubles as the invalid state. */
@@ -116,7 +126,7 @@ struct BlockCounters
     Count writes = 0, writeHits = 0, writeMisses = 0;
     Count fetched = 0, wmFetch = 0, wtCount = 0, inval = 0;
     Count victims = 0, dirtyVictims = 0, dvBytes = 0;
-    Count dirtyWrites = 0;
+    Count dirtyWrites = 0, fallbacks = 0;
     Count fetchTx = 0, fetchBytes = 0, wtTx = 0, wtBytes = 0;
     Count wbTx = 0, wbBytes = 0;
 };
@@ -308,11 +318,96 @@ applyWriteDyn(WriteMissPolicy mp, const LaneView& s, BlockCounters& c,
 }
 
 /**
- * Specialized lane: direct-mapped, byte-granularity valid bits.
+ * The way of a set that holds line `la`, or -1.  At most one way can
+ * (a line is filled only after its lookup missed), so a compile-time
+ * way count W builds a match mask branch-free; W = 0 scans `ways`
+ * ways at run time and stops at the match.
+ */
+template <unsigned W>
+[[gnu::always_inline]] inline int
+findWay(const Addr* set, unsigned ways, Addr la)
+{
+    if constexpr (W == 0) {
+        for (unsigned w = 0; w < ways; ++w)
+            if (set[w] == la)
+                return static_cast<int>(w);
+        return -1;
+    } else {
+        unsigned match = 0;
+        for (unsigned w = 0; w < W; ++w)
+            match |= static_cast<unsigned>(set[w] == la) << w;
+        return match != 0 ? std::countr_zero(match) : -1;
+    }
+}
+
+/**
+ * The line a miss in the set at line index `base` fills, as
+ * DataCache::victimWay picks it: the first empty way in physical
+ * order; in a full set the lowest stamp (LRU: last use, FIFO:
+ * insertion) or, under random replacement, way rng % ways after one
+ * xorshift step.  The stamps of a full set are distinct (each stamp
+ * is handed to one line), so the lowest one is found by a tree of
+ * compares as surely as by a scan.
+ */
+template <ReplacementPolicy RP, unsigned W>
+[[gnu::always_inline]] inline std::uint64_t
+chooseVictim(const Addr* T, const Count* S, std::uint64_t base,
+             unsigned ways, std::uint64_t& rng)
+{
+    if constexpr (W == 1) {
+        return base;  // one candidate; the rng is never observable
+    } else if constexpr (W == 0) {
+        for (unsigned w = 0; w < ways; ++w)
+            if (T[base + w] == kNoTag)
+                return base + w;
+    } else {
+        unsigned empty = 0;
+        for (unsigned w = 0; w < W; ++w)
+            empty |= static_cast<unsigned>(T[base + w] == kNoTag) << w;
+        if (empty != 0)
+            return base + static_cast<unsigned>(std::countr_zero(empty));
+    }
+    if constexpr (RP == ReplacementPolicy::Random) {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        return base + rng % ways;
+    } else if constexpr (W == 0) {
+        std::uint64_t victim = base;
+        for (unsigned w = 1; w < ways; ++w)
+            if (S[base + w] < S[victim])
+                victim = base + w;
+        return victim;
+    } else {
+        unsigned way[W] = {};
+        Count stamp[W] = {};
+        for (unsigned w = 0; w < W; ++w) {
+            way[w] = w;
+            stamp[w] = S[base + w];
+        }
+        for (unsigned half = W / 2; half > 0; half /= 2)
+            for (unsigned w = 0; w < half; ++w) {
+                const bool older = stamp[w + half] < stamp[w];
+                stamp[w] = older ? stamp[w + half] : stamp[w];
+                way[w] = older ? way[w + half] : way[w];
+            }
+        return base + way[0];
+    }
+}
+
+/**
+ * One lane's live cache.
  *
- * Structure-of-arrays line state with a sentinel tag, policy choices
- * lifted to template parameters, counters accumulated in
- * BlockCounters and flushed to members once per block.
+ * Structure-of-arrays line state with a sentinel tag: tags, valid and
+ * dirty byte masks per line, each set's ways adjacent in physical
+ * order (way w of set s is line s * assoc + w, as in DataCache), plus
+ * a per-line stamp when the replacement policy compares them (LRU,
+ * FIFO) and the random policy's xorshift state.  Policy choices are
+ * lifted to template parameters; counters accumulate in BlockCounters
+ * and flush to members once per block.
+ *
+ * A direct-mapped, byte-granular lane replays on the direct-mapped
+ * kernels through view(); every other lane replays on replaySet().
  */
 class FastLane
 {
@@ -323,15 +418,23 @@ class FastLane
         tags_.assign(g.numLines(), kNoTag);
         valid_.assign(g.numLines(), 0);
         dirty_.assign(g.numLines(), 0);
+        if (c.assoc > 1 && c.replacement != ReplacementPolicy::Random)
+            stamps_.assign(g.numLines(), 0);
         lineShift_ = 0;
         while ((1u << lineShift_) < c.lineBytes)
             ++lineShift_;
+        wayShift_ = floorLog2(c.assoc);
         indexMask_ = g.numSets() - 1;
         fullMask_ = maskBits(c.lineBytes);
     }
 
     unsigned lineBytes() const { return config_.lineBytes; }
     unsigned lineShift() const { return lineShift_; }
+    unsigned assoc() const { return config_.assoc; }
+    ReplacementPolicy replacement() const { return config_.replacement; }
+
+    /** Does this lane replay on the direct-mapped kernels? */
+    bool directMapped() const { return fastLaneEligible(config_); }
 
     bool writeBack() const
     {
@@ -365,6 +468,7 @@ class FastLane
         stats_.dirtyVictims += c.dirtyVictims;
         stats_.dirtyVictimDirtyBytes += c.dvBytes;
         stats_.writesToDirtyLines += c.dirtyWrites;
+        stats_.validateFallbacks += c.fallbacks;
         fetch_.txns += c.fetchTx;
         fetch_.bytes += c.fetchBytes;
         wt_.txns += c.wtTx;
@@ -383,6 +487,14 @@ class FastLane
             applyPiece<WB, MP>(s, c, P[k]);
         absorb(c);
     }
+
+    /**
+     * Replay one decoded block through this lane on the set kernel.
+     * W is the way count (1, 2, 4 or 8), or 0 to read it from the
+     * config; RP is the replacement policy (ignored when W is 1).
+     */
+    template <bool WB, ReplacementPolicy RP, unsigned W>
+    void replaySet(const Piece* P, std::size_t n);
 
     /**
      * Drain dirty lines, mirroring DataCache::flush(): every valid
@@ -425,12 +537,161 @@ class FastLane
     std::vector<Addr> tags_;
     std::vector<ByteMask> valid_;
     std::vector<ByteMask> dirty_;
+    std::vector<Count> stamps_;  //!< LRU last use / FIFO insertion
+    Count clock_ = 0;            //!< last stamp handed out
+    std::uint64_t rng_ = 0x9e3779b97f4a7c15ull;  //!< as DataCache
     unsigned lineShift_;
+    unsigned wayShift_;
     std::uint64_t indexMask_;
     ByteMask fullMask_;
     core::CacheStats stats_;
     Traffic fetch_, wt_, wb_, flush_;
 };
+
+/**
+ * The set kernel.  Stamps come from a lane clock that advances at
+ * each stamp rather than at each access, which orders them exactly as
+ * DataCache's access counter does.  The loop counts only hits,
+ * misses, fetches and write-throughs; access totals and transaction
+ * counts follow from those once per block.
+ *
+ * A last-line filter skips the way scan while consecutive pieces stay
+ * on one line: after each piece that leaves its line resident it
+ * remembers that line's index.  Only a fill in its set (which is a
+ * different piece's, and so re-aims the filter) or a write-invalidate
+ * (which clears it) can move that line; write-around leaves the cache
+ * and the filter alone.
+ */
+template <bool WB, ReplacementPolicy RP, unsigned W>
+void
+FastLane::replaySet(const Piece* P, std::size_t n)
+{
+    constexpr bool kStampHits = W != 1 && RP == ReplacementPolicy::Lru;
+    constexpr bool kStampFills = W != 1 && RP != ReplacementPolicy::Random;
+    const LaneView s = view();
+    Addr* const T = s.T;
+    ByteMask* const V = s.V;
+    ByteMask* const D = s.D;
+    Count* const S = stamps_.data();
+    const unsigned ways = W != 0 ? W : config_.assoc;
+    const unsigned way_shift = wayShift_;
+    const WriteMissPolicy mp = config_.missPolicy;
+    const unsigned grain = config_.validGranularity - 1;
+    Count clock = clock_;
+    std::uint64_t rng = rng_;
+    BlockCounters c;
+
+    // Evict the victim of a miss on `la` in the set at `base`, then
+    // install `la` there with valid bytes `valid`.
+    auto fill = [&](std::uint64_t base, Addr la, ByteMask valid) {
+        const std::uint64_t idx =
+            chooseVictim<RP, W>(T, S, base, ways, rng);
+        evictLine<WB>(s, c, idx);
+        T[idx] = la;
+        V[idx] = valid;
+        if (kStampFills)
+            S[idx] = ++clock;
+        return idx;
+    };
+
+    Addr last_la = kNoTag;
+    std::uint64_t last_idx = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+        const Piece& p = P[k];
+        const Addr la = p.la;
+        const ByteMask mask = p.mask;
+        const std::uint64_t base = (la & s.im) << way_shift;
+        bool hit = la == last_la;
+        std::uint64_t idx = last_idx;  // meaningful on a hit only
+        if (!hit) {
+            const int way = findWay<W>(T + base, ways, la);
+            hit = way >= 0;
+            idx = base + static_cast<unsigned>(way);
+        }
+
+        if (p.read) {
+            if (hit) {
+                if (kStampHits)
+                    S[idx] = ++clock;
+                if ((V[idx] & mask) == mask) [[likely]] {
+                    ++c.readHits;
+                } else {
+                    // Tag hit on invalid bytes: fetch fills the line.
+                    ++c.readMisses;
+                    ++c.partial;
+                    ++c.fetched;
+                    V[idx] = s.full;
+                }
+            } else {
+                ++c.readMisses;
+                ++c.fetched;
+                idx = fill(base, la, s.full);
+                if (WB)
+                    D[idx] = 0;
+            }
+        } else if (hit) {
+            ++c.writeHits;
+            if (kStampHits)
+                S[idx] = ++clock;
+            if (WB) {
+                c.dirtyWrites += D[idx] != 0;
+                D[idx] |= mask;
+            } else {
+                ++c.wtCount;
+                c.wtBytes += p.size;
+            }
+            V[idx] |= mask;
+        } else {
+            ++c.writeMisses;
+            if (!WB) {
+                ++c.wtCount;
+                c.wtBytes += p.size;
+            }
+            switch (mp) {
+              case WriteMissPolicy::WriteValidate:
+                if (((static_cast<unsigned>(std::countr_zero(mask)) |
+                      p.size) & grain) == 0) {
+                    idx = fill(base, la, mask);
+                    if (WB)
+                        D[idx] = mask;
+                    break;
+                }
+                // Narrower than the valid-bit granularity: fetch.
+                ++c.fallbacks;
+                [[fallthrough]];
+              case WriteMissPolicy::FetchOnWrite:
+                ++c.fetched;
+                ++c.wmFetch;
+                idx = fill(base, la, s.full);
+                if (WB)
+                    D[idx] = mask;
+                break;
+              case WriteMissPolicy::WriteAround:
+                continue;
+              case WriteMissPolicy::WriteInvalidate:
+                // Write-through only, so the killed line is clean.
+                if (ways == 1 && T[base] != kNoTag) {
+                    T[base] = kNoTag;
+                    V[base] = 0;
+                    ++c.inval;
+                    if (last_idx == base)
+                        last_la = kNoTag;
+                }
+                continue;
+            }
+        }
+        last_la = la;
+        last_idx = idx;
+    }
+    c.reads = c.readHits + c.readMisses;
+    c.writes = c.writeHits + c.writeMisses;
+    c.fetchTx = c.fetched;
+    c.fetchBytes = c.fetched * s.lineBytes;
+    c.wtTx = c.wtCount;
+    clock_ = clock;
+    rng_ = rng;
+    absorb(c);
+}
 
 #if JCACHE_SIMD_AVX2
 
@@ -737,45 +998,56 @@ replayGroup(bool wb, const std::vector<FastLane*>& lanes,
        : replayGroupT<false>(lanes, P, n);
 }
 
-/**
- * Fallback lane: the reference DataCache behind a terminal traffic
- * meter.  Handles assoc > 1 and coarse valid-bit granularities.
- */
-class GenericLane
+/** One set lane's block replay at a compile-time way count. */
+template <bool WB, ReplacementPolicy RP>
+void
+replaySetWays(FastLane* lane, const Piece* P, std::size_t n)
 {
-  public:
-    explicit GenericLane(const core::CacheConfig& c)
-        : meter_(nullptr), cache_(c, meter_)
-    {
+    switch (lane->assoc()) {
+      case 2:
+        lane->replaySet<WB, RP, 2>(P, n);
+        break;
+      case 4:
+        lane->replaySet<WB, RP, 4>(P, n);
+        break;
+      case 8:
+        lane->replaySet<WB, RP, 8>(P, n);
+        break;
+      default:
+        lane->replaySet<WB, RP, 0>(P, n);
+        break;
     }
+}
 
-    void replay(const trace::TraceRecord* recs, std::size_t n)
-    {
-        for (std::size_t k = 0; k < n; ++k)
-            cache_.access(recs[k]);
+/**
+ * One lane's block replay on the set kernel, way count and
+ * replacement policy chosen once here.
+ */
+template <bool WB>
+void
+replaySetLane(FastLane* lane, const Piece* P, std::size_t n)
+{
+    if (lane->assoc() == 1) {
+        lane->replaySet<WB, ReplacementPolicy::Lru, 1>(P, n);
+        return;
     }
-
-    void flush() { cache_.flush(); }
-
-    RunResult result(Count instructions) const
-    {
-        RunResult r;
-        r.config = cache_.config();
-        r.cache = cache_.stats();
-        r.fetchTraffic = meter_.fetches();
-        r.writeThroughTraffic = meter_.writeThroughs();
-        r.writeBackTraffic = meter_.writeBacks();
-        r.flushTraffic = meter_.flushBacks();
-        r.instructions = instructions;
-        return r;
+    switch (lane->replacement()) {
+      case ReplacementPolicy::Lru:
+        replaySetWays<WB, ReplacementPolicy::Lru>(lane, P, n);
+        break;
+      case ReplacementPolicy::Fifo:
+        replaySetWays<WB, ReplacementPolicy::Fifo>(lane, P, n);
+        break;
+      case ReplacementPolicy::Random:
+        replaySetWays<WB, ReplacementPolicy::Random>(lane, P, n);
+        break;
     }
+}
 
-  private:
-    mem::TrafficMeter meter_;
-    core::DataCache cache_;
-};
-
-/** Fast lanes sharing one line size, split by hit policy. */
+/**
+ * Lanes sharing one line size: direct-mapped lanes split by hit
+ * policy for the vector tiles, and the set kernel's lanes.
+ */
 struct DecodeGroup
 {
     unsigned lineShift = 0;
@@ -784,10 +1056,14 @@ struct DecodeGroup
     /** Write-back lanes and write-through lanes, tiled separately. */
     std::vector<FastLane*> wbLanes;
     std::vector<FastLane*> wtLanes;
+    std::vector<FastLane*> setLanes;
 
     void add(FastLane* lane)
     {
-        (lane->writeBack() ? wbLanes : wtLanes).push_back(lane);
+        if (!lane->directMapped())
+            setLanes.push_back(lane);
+        else
+            (lane->writeBack() ? wbLanes : wtLanes).push_back(lane);
     }
 };
 
@@ -808,34 +1084,20 @@ runTracePass(const trace::ReplaySource& source,
     span.arg("trace", source.name());
     span.arg("lanes", std::to_string(lanes.size()));
 
-    struct Slot
-    {
-        std::unique_ptr<FastLane> fast;
-        std::unique_ptr<GenericLane> generic;
-        bool flushAtEnd = false;
-    };
-    std::vector<Slot> slots(lanes.size());
-
-    // Fast lanes sharing a line size share one decode of each block;
-    // within a line size, lanes of one hit policy replay together so
-    // the vector tiles agree on what a write hit does (the miss
-    // policy is per-lane, consulted only off the fast path).
+    // Lanes sharing a line size share one decode of each block;
+    // within a line size, direct-mapped lanes of one hit policy replay
+    // together so the vector tiles agree on what a write hit does (the
+    // miss policy is per-lane, consulted only off the fast path).
+    std::vector<std::unique_ptr<FastLane>> state;
+    state.reserve(lanes.size());
     std::map<unsigned, DecodeGroup> groups;
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-        lanes[i].config.validate();
-        slots[i].flushAtEnd = lanes[i].flushAtEnd;
-        if (fastLaneEligible(lanes[i].config)) {
-            slots[i].fast =
-                std::make_unique<FastLane>(lanes[i].config);
-            DecodeGroup& group = groups[lanes[i].config.lineBytes];
-            group.lineShift = slots[i].fast->lineShift();
-            group.pieces.reserve(blockRecords == 0 ? 2
-                                                   : blockRecords * 2);
-            group.add(slots[i].fast.get());
-        } else {
-            slots[i].generic =
-                std::make_unique<GenericLane>(lanes[i].config);
-        }
+    for (const LaneSpec& spec : lanes) {
+        spec.config.validate();
+        state.push_back(std::make_unique<FastLane>(spec.config));
+        DecodeGroup& group = groups[spec.config.lineBytes];
+        group.lineShift = state.back()->lineShift();
+        group.pieces.reserve(blockRecords == 0 ? 2 : blockRecords * 2);
+        group.add(state.back().get());
     }
 
     Count instructions = 0;
@@ -861,30 +1123,24 @@ runTracePass(const trace::ReplaySource& source,
             decodeAll();
         }
         for (auto& [line_bytes, group] : groups) {
+            const Piece* P = group.pieces.data();
+            const std::size_t n = group.pieces.size();
             if (!group.wbLanes.empty())
-                replayGroup(true, group.wbLanes, group.pieces.data(),
-                            group.pieces.size());
+                replayGroup(true, group.wbLanes, P, n);
             if (!group.wtLanes.empty())
-                replayGroup(false, group.wtLanes, group.pieces.data(),
-                            group.pieces.size());
+                replayGroup(false, group.wtLanes, P, n);
+            for (FastLane* lane : group.setLanes)
+                lane->writeBack() ? replaySetLane<true>(lane, P, n)
+                                  : replaySetLane<false>(lane, P, n);
         }
-        for (Slot& slot : slots)
-            if (slot.generic)
-                slot.generic->replay(block.records, block.count);
     }
 
     std::vector<RunResult> results;
     results.reserve(lanes.size());
-    for (Slot& slot : slots) {
-        if (slot.fast) {
-            if (slot.flushAtEnd)
-                slot.fast->flush();
-            results.push_back(slot.fast->result(instructions));
-        } else {
-            if (slot.flushAtEnd)
-                slot.generic->flush();
-            results.push_back(slot.generic->result(instructions));
-        }
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+        if (lanes[i].flushAtEnd)
+            state[i]->flush();
+        results.push_back(state[i]->result(instructions));
     }
 
     if (telemetry::armed()) {
@@ -897,6 +1153,29 @@ runTracePass(const trace::ReplaySource& source,
             "Trace blocks walked by the one-pass engine");
         records.inc(source.records());
         blocks.inc(block_count);
+
+        // Lanes by the kernel that replayed them: the vector tiles
+        // take whole tiles of each hit-policy group, the scalar
+        // direct-mapped kernel the rest of it.
+        const char* help = "Lanes replayed by one-pass engine passes, "
+                           "by kernel";
+        static telemetry::Counter& avx2_lanes = reg.counter(
+            "jcache_engine_lanes_total", help, {{"kind", "avx2"}});
+        static telemetry::Counter& scalar_lanes = reg.counter(
+            "jcache_engine_lanes_total", help, {{"kind", "scalar"}});
+        static telemetry::Counter& set_lanes = reg.counter(
+            "jcache_engine_lanes_total", help, {{"kind", "set"}});
+        const std::size_t tile =
+            simd::avx2Enabled() ? simd::kLanesPerVector : 1;
+        for (const auto& [line_bytes, group] : groups) {
+            for (const auto* dm : {&group.wbLanes, &group.wtLanes}) {
+                const std::size_t tiled =
+                    tile > 1 ? dm->size() - dm->size() % tile : 0;
+                avx2_lanes.inc(tiled);
+                scalar_lanes.inc(dm->size() - tiled);
+            }
+            set_lanes.inc(group.setLanes.size());
+        }
     }
     return results;
 }

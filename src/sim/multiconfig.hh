@@ -10,24 +10,32 @@
  * before moving on, so the record stream is read once and all lane
  * state stays hot.
  *
- * Two lane kinds share that outer loop:
+ * Every lane keeps one kind of state: structure-of-arrays tags,
+ * valid masks and dirty masks, one entry per way, with a sentinel tag
+ * for an empty way; plus per-line replacement stamps (LRU, FIFO) or a
+ * random-replacement generator when the lane has more than one way.
+ * Lanes with the same line size share one decode of each block into
+ * line-aligned pieces, and two kernels replay those pieces, each with
+ * its policy choices as template parameters so most dispatch happens
+ * once per block instead of once per access:
  *
- *  - **Fast lanes** — direct-mapped, byte-granularity configurations
- *    (every grid the paper's Figures 13-16 sweep).  State is kept as
- *    structure-of-arrays (tags / valid masks / dirty masks), a
- *    sentinel tag makes the hit test a single compare, and the write
- *    policies are template parameters so policy dispatch happens once
- *    per block instead of once per access.  Lanes with the same line
- *    size additionally share one decode of each block into
- *    line-aligned pieces, and lanes that also share a write policy
- *    replay in vector batches: four lanes at a time, with the tag
- *    compare / valid test / hot counters as AVX2 vector operations
- *    (util/simd.hh; a byte-identical scalar path serves non-AVX2
- *    hardware, JCACHE_NO_AVX2, and the remainder lanes).
- *  - **Generic lanes** — anything else (assoc > 1, or a valid-bit
- *    granularity above one byte) falls back to the reference
- *    DataCache fed record by record, so runTracePass() accepts every
- *    configuration runTrace() does.
+ *  - **Direct-mapped kernels** — direct-mapped, byte-granularity
+ *    configurations (every grid the paper's Figures 13-16 sweep; see
+ *    fastLaneEligible()).  The sentinel tag makes the hit test a
+ *    single compare, and lanes that also share a hit policy replay in
+ *    vector tiles: four lanes at a time, with the tag compare / valid
+ *    test / hot counters as AVX2 vector operations (util/simd.hh; a
+ *    byte-identical scalar path serves non-AVX2 hardware,
+ *    JCACHE_NO_AVX2, and the remainder lanes).
+ *  - **Set kernel** — everything else: any associativity under LRU,
+ *    FIFO or random replacement, and any valid-bit granularity,
+ *    direct-mapped included.  Scalar, one lane at a time, with the
+ *    hit policy, the way count (1, 2, 4, 8, or any other at run
+ *    time) and the replacement policy as template parameters; the
+ *    write-miss policy is switched on at run time, on write misses
+ *    only.
+ *
+ * Together they take every configuration runTrace() does.
  *
  * The record stream itself comes from a trace::ReplaySource: either
  * zero-copy views into an in-memory Trace, or blocks decoded lazily
@@ -37,7 +45,8 @@
  * All paths reproduce DataCache's counter and traffic accounting
  * exactly; tests/test_engine_differential.cc holds the engine to
  * byte-identical RunResults against runTrace(), across scalar vs
- * vector replay and in-memory vs mapped sources.
+ * vector replay, in-memory vs mapped sources, and an associativity,
+ * replacement and valid-granularity grid.
  */
 
 #ifndef JCACHE_SIM_MULTICONFIG_HH
@@ -65,11 +74,11 @@ struct LaneSpec
 };
 
 /**
- * Can this configuration use the specialized fast lane?
+ * Does this configuration replay on the direct-mapped vector tiles?
  *
  * True for direct-mapped caches with byte-granularity valid bits —
  * the combination every figure in the paper sweeps.  Other
- * configurations still run, via the generic DataCache lane.
+ * configurations replay on the set kernel, just as exactly.
  */
 bool fastLaneEligible(const core::CacheConfig& config);
 
@@ -87,8 +96,9 @@ bool fastLaneEligible(const core::CacheConfig& config);
  *         runTrace(trace, lanes[i].config, lanes[i].flushAtEnd).
  *
  * Emits `sweep.trace_pass` and per-block `sweep.block_decode` spans,
- * and advances the `jcache_engine_records_total` and
- * `jcache_engine_blocks_total` counters when telemetry is armed.
+ * and advances the `jcache_engine_records_total`,
+ * `jcache_engine_blocks_total` and `jcache_engine_lanes_total{kind}`
+ * counters once per pass when telemetry is armed.
  */
 std::vector<RunResult>
 runTracePass(const trace::ReplaySource& source,

@@ -3,9 +3,9 @@
  * Golden differential between the two simulation engines: every cell
  * of the Figure 13-16 grid replayed by the one-pass engine must be
  * byte-identical to the per-cell reference — every counter, every
- * traffic class, and the rendered table/JSON output — plus the
- * configurations the fast lane cannot take (write-back with flush,
- * associative, coarse valid granularity) and the empty trace.
+ * traffic class, and the rendered table/JSON output — plus write-back
+ * with flush, the set kernel's associativity, replacement and
+ * valid-granularity grid, and the empty trace.
  */
 
 #include <unistd.h>
@@ -34,6 +34,7 @@ namespace
 {
 
 using core::CacheConfig;
+using core::ReplacementPolicy;
 using core::WriteHitPolicy;
 using core::WriteMissPolicy;
 
@@ -195,27 +196,84 @@ TEST(EngineDifferential, WriteBackWithFlushIsIdentical)
     }
 }
 
-TEST(EngineDifferential, GenericLaneConfigsAreIdentical)
+/**
+ * The set kernel's grid for one trace, 162 cells: every second cell
+ * of the product of the six legal (hit, miss) pairs, lru/fifo/random
+ * replacement, direct-mapped, 2/4/8/16-way and fully associative 1 KB
+ * caches, and three line shapes (4 B lines, 16 B lines, 16 B lines
+ * with 8-byte valid granularity), with flush-stop on every other kept
+ * cell.
+ */
+std::vector<Request>
+setKernelGrid(const trace::Trace& t)
 {
-    const trace::Trace& t = traces().front();
-    CacheConfig assoc2 = config(8 * 1024, 16,
-                                WriteHitPolicy::WriteBack,
-                                WriteMissPolicy::FetchOnWrite);
-    assoc2.assoc = 2;
-    CacheConfig coarse = config(8 * 1024, 16,
-                                WriteHitPolicy::WriteThrough,
-                                WriteMissPolicy::WriteValidate);
-    coarse.validGranularity = 4;
-    ASSERT_FALSE(fastLaneEligible(assoc2));
-    ASSERT_FALSE(fastLaneEligible(coarse));
+    struct Shape
+    {
+        unsigned line, granularity;
+    };
+    const Shape shapes[] = {{4, 1}, {16, 1}, {16, 8}};
+    const ReplacementPolicy replacements[] = {ReplacementPolicy::Lru,
+                                              ReplacementPolicy::Fifo,
+                                              ReplacementPolicy::Random};
+    constexpr Count kSize = 1024;
+    std::vector<Request> requests;
+    unsigned n = 0;
+    for (auto [hit, miss] : legalPolicyPairs())
+        for (ReplacementPolicy replacement : replacements)
+            for (unsigned ways : {1u, 2u, 4u, 8u, 16u, 0u})
+                for (const Shape& shape : shapes) {
+                    if (n++ % 2 != 0)
+                        continue;
+                    CacheConfig c = config(kSize, shape.line, hit, miss);
+                    c.assoc = ways != 0 ? ways : kSize / shape.line;
+                    c.replacement = replacement;
+                    c.validGranularity = shape.granularity;
+                    requests.push_back({&t, c, requests.size() % 2 == 1});
+                }
+    return requests;
+}
 
-    std::vector<Request> requests = {{&t, assoc2, true},
-                                     {&t, coarse, false}};
-    BatchOutcome percell = runWith(requests, Engine::PerCell);
-    BatchOutcome onepass = runWith(requests, Engine::OnePass);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        SCOPED_TRACE("cell " + std::to_string(i));
-        expectIdentical(percell.results[i], onepass.results[i]);
+TEST(EngineDifferential, SetKernelGridIsByteIdentical)
+{
+    for (const trace::Trace& t : traces()) {
+        std::vector<Request> requests = setKernelGrid(t);
+        BatchOutcome percell = runWith(requests, Engine::PerCell);
+        for (bool scalar : {false, true}) {
+            simd::forceScalar(scalar);
+            BatchOutcome onepass = runWith(requests, Engine::OnePass);
+            simd::forceScalar(false);
+            for (std::size_t i = 0; i < requests.size(); ++i) {
+                SCOPED_TRACE(t.name() + " cell " + std::to_string(i) +
+                             (scalar ? " scalar" : ""));
+                expectIdentical(percell.results[i], onepass.results[i]);
+                EXPECT_EQ(resultJson(percell.results[i]),
+                          resultJson(onepass.results[i]));
+            }
+        }
+
+        // Each rule the set kernel mirrors must fire somewhere, or
+        // the grid proves nothing about it.
+        bool fallback_direct = false, fallback_set = false;
+        bool invalidated = false, random_victims = false;
+        for (std::size_t i = 0; i < requests.size(); ++i) {
+            const CacheConfig& c = requests[i].config;
+            const core::CacheStats& s = percell.results[i].cache;
+            if (s.validateFallbacks > 0)
+                (c.assoc == 1 ? fallback_direct : fallback_set) = true;
+            if (c.assoc == 1 && c.validGranularity == 8 &&
+                c.missPolicy == WriteMissPolicy::WriteInvalidate &&
+                s.invalidations > 0)
+                invalidated = true;
+            if (c.assoc > 1 &&
+                c.replacement == ReplacementPolicy::Random &&
+                s.victims > 0)
+                random_victims = true;
+        }
+        SCOPED_TRACE(t.name());
+        EXPECT_TRUE(fallback_direct);
+        EXPECT_TRUE(fallback_set);
+        EXPECT_TRUE(invalidated);
+        EXPECT_TRUE(random_victims);
     }
 }
 

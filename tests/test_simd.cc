@@ -9,7 +9,7 @@
  * count from 1 through 17 so full tiles, partial tiles and the scalar
  * remainder loop are each exercised.  On hardware without AVX2 the
  * comparisons degenerate to scalar-vs-scalar and only the dispatch
- * tests bite.
+ * tests bite, among them the per-kernel lane counter.
  */
 
 #include <cstdint>
@@ -21,6 +21,7 @@
 #include "core/config.hh"
 #include "sim/engine.hh"
 #include "sim/multiconfig.hh"
+#include "telemetry/metrics.hh"
 #include "trace/trace.hh"
 #include "util/simd.hh"
 
@@ -224,6 +225,54 @@ TEST(Simd, EveryLaneCountThroughSeventeen)
     Trace t = mixedDirtyTrace();
     for (unsigned lanes = 1; lanes <= 17; ++lanes)
         compareScalarAndVector(t, lanes, lanes % 2 == 0);
+}
+
+TEST(Simd, EachPassCountsItsLanesByKernel)
+{
+    // Four direct-mapped lanes of one line size and hit policy (one
+    // vector tile) plus one set lane: each pass moves the tile's four
+    // lanes on `avx2` or, forced scalar, on `scalar`, and the set lane
+    // on `set`.
+    auto& reg = telemetry::Registry::instance();
+    auto lanes_of = [&](const char* kind) -> const telemetry::Counter& {
+        return reg.counter("jcache_engine_lanes_total",
+                           "Lanes replayed by one-pass engine passes, "
+                           "by kernel",
+                           {{"kind", kind}});
+    };
+    const telemetry::Counter& avx2 = lanes_of("avx2");
+    const telemetry::Counter& scalar = lanes_of("scalar");
+    const telemetry::Counter& set = lanes_of("set");
+
+    std::vector<LaneSpec> lanes;
+    for (unsigned i = 0; i < 4; ++i) {
+        CacheConfig c;
+        c.sizeBytes = 1024u << i;
+        c.hitPolicy = WriteHitPolicy::WriteThrough;
+        c.missPolicy = WriteMissPolicy::WriteValidate;
+        lanes.push_back({c, false});
+    }
+    CacheConfig two_way = lanes.front().config;
+    two_way.assoc = 2;
+    lanes.push_back({two_way, false});
+
+    Trace t = mixedDirtyTrace();
+    const bool was_armed = telemetry::armed();
+    telemetry::setArmed(true);
+    for (bool forced : {false, true}) {
+        SCOPED_TRACE(forced ? "forced scalar" : "default");
+        simd::forceScalar(forced);
+        const bool tiled = simd::avx2Enabled();
+        const std::uint64_t avx2_before = avx2.value();
+        const std::uint64_t scalar_before = scalar.value();
+        const std::uint64_t set_before = set.value();
+        runTracePass(t, lanes);
+        EXPECT_EQ(avx2.value() - avx2_before, tiled ? 4u : 0u);
+        EXPECT_EQ(scalar.value() - scalar_before, tiled ? 0u : 4u);
+        EXPECT_EQ(set.value() - set_before, 1u);
+    }
+    simd::forceScalar(false);
+    telemetry::setArmed(was_armed);
 }
 
 } // namespace
