@@ -270,18 +270,18 @@ sweepGrid(const trace::Trace& trace, std::int64_t grid)
 }
 
 /**
- * Time `requests` through the one-pass engine at one worker and
+ * Time `requests` through the one-pass engine at `jobs` workers and
  * report `speedup_vs_percell`: the per-cell engine's time for the same
  * grid at the same worker count, measured once per process into
  * `percell_seconds`, over the one-pass time per iteration.
  */
 void
 timeOnePass(benchmark::State& state,
-            const std::vector<sim::Request>& requests,
+            const std::vector<sim::Request>& requests, unsigned jobs,
             double& percell_seconds)
 {
     sim::BatchOptions options;
-    options.jobs = 1;
+    options.jobs = jobs;
     if (percell_seconds == 0.0) {
         options.engine = sim::Engine::PerCell;
         auto start = std::chrono::steady_clock::now();
@@ -321,15 +321,15 @@ timeOnePass(benchmark::State& state,
  * cell a direct-mapped lane; argument 1 is the associativity and
  * valid-granularity grid, every cell a set-kernel lane.  The
  * "speedup_vs_percell" counter is the headline number: the one-pass
- * engine decodes the trace once per chunk of lanes instead of once
- * per cell, and must come out >= 2x.
+ * engine decodes the trace once per pass instead of once per cell,
+ * and must come out >= 2x.
  */
 void
 BM_OnePassSweep(benchmark::State& state)
 {
     const trace::Trace& trace = sim::TraceSet::standard().get("grr");
     static double percell_seconds[2] = {};
-    timeOnePass(state, sweepGrid(trace, state.range(0)),
+    timeOnePass(state, sweepGrid(trace, state.range(0)), 1,
                 percell_seconds[state.range(0)]);
 }
 
@@ -339,7 +339,10 @@ BM_OnePassSweep(benchmark::State& state)
  * process, then every pass decodes blocks straight off the mapping
  * instead of the in-memory record array.  speedup_vs_percell is
  * comparable with BM_OnePassSweep's counter — the gap between the two
- * is the cost (or win) of the mapped decode path.
+ * is the cost (or win) of the mapped decode path.  The second
+ * argument is the worker count, 1 or 2: at two workers the engine
+ * splits the grid into one pass per worker, the plan jcached and
+ * two-job sweeps run.
  */
 void
 BM_OnePassSweepMapped(benchmark::State& state)
@@ -355,8 +358,10 @@ BM_OnePassSweepMapped(benchmark::State& state)
         sweepGrid(trace, state.range(0));
     for (sim::Request& r : requests)
         r.source = &mapped;
-    static double percell_seconds[2] = {};
-    timeOnePass(state, requests, percell_seconds[state.range(0)]);
+    const auto jobs = static_cast<unsigned>(state.range(1));
+    static double percell_seconds[2][2] = {};
+    timeOnePass(state, requests, jobs,
+                percell_seconds[state.range(0)][jobs - 1]);
 }
 
 BENCHMARK(BM_WriteBackFetchOnWrite);
@@ -377,9 +382,9 @@ BENCHMARK(BM_OnePassSweep)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_OnePassSweepMapped)
-    ->ArgName("grid")
-    ->Arg(0)
-    ->Arg(1)
+    ->ArgNames({"grid", "jobs"})
+    ->ArgsProduct({{0, 1}, {1, 2}})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 } // namespace

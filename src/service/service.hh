@@ -204,7 +204,8 @@ struct ServiceConfig
 
     /**
      * Largest accepted `batch` request, in grid cells.  The shard
-     * coordinator scatters 16-cell chunks; the cap only guards a
+     * coordinator scatters 16-cell chunks (ShardConfig::chunkCells,
+     * a scatter size, not an engine boundary); the cap only guards a
      * hand-built request from queueing unbounded work.
      */
     std::size_t batchCapCells = 1024;

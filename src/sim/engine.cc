@@ -3,15 +3,17 @@
  * Implementation of the unified simulation entry point.
  *
  * The one-pass batch path does the request bookkeeping runTracePass()
- * stays out of: grouping by trace, deduplicating identical cells, and
- * chunking lanes so the executor can run passes in parallel without
- * any pass's lane state outgrowing the cache hierarchy.
+ * stays out of: grouping by trace, deduplicating identical cells,
+ * validating each distinct cell once, and planning the passes the
+ * executor runs in parallel.
  */
 
 #include "sim/engine.hh"
 
 #include <algorithm>
+#include <exception>
 #include <mutex>
+#include <tuple>
 #include <utility>
 
 #include "sim/multiconfig.hh"
@@ -23,21 +25,12 @@ namespace jcache::sim
 namespace
 {
 
-/**
- * Lanes per one-pass chunk when a worker pool runs chunks in
- * parallel.  Enough that a pass amortizes the decode across many
- * cells, few enough that a chunk's SoA lane state stays resident
- * while a block streams through it — and that a typical figure grid
- * still splits into several chunks for the pool.
- */
-constexpr std::size_t kLanesPerChunk = 16;
-
-/**
- * Lanes per chunk when a single worker runs the batch.  Splitting
- * buys nothing serially and costs a fresh decode of every block per
- * chunk, so chunks grow until lane state (not the decode) dominates.
- */
-constexpr std::size_t kLanesPerChunkSerial = 32;
+/** One distinct (config, flush) cell and the requests it serves. */
+struct Lane
+{
+    LaneSpec spec;
+    std::vector<std::size_t> covers;  //!< request indices
+};
 
 /** All requests against one reference stream, deduplicated. */
 struct TraceGroup
@@ -45,20 +38,95 @@ struct TraceGroup
     const trace::Trace* trace = nullptr;
     const trace::ReplaySource* source = nullptr;
 
-    /** Distinct (config, flush) cells, in first-seen order. */
-    std::vector<LaneSpec> lanes;
-
-    /** For each distinct lane, the request indices it serves. */
-    std::vector<std::vector<std::size_t>> covers;
+    /** Distinct cells, in first-seen order until planning sorts them. */
+    std::vector<Lane> lanes;
 };
 
 /** A contiguous slice of one group's lanes, run as one pass. */
-struct Chunk
+struct Pass
 {
     const TraceGroup* group = nullptr;
-    std::size_t first = 0;  //!< first lane index within the group
-    std::size_t count = 0;  //!< lanes in this chunk
+    const Lane* lanes = nullptr;  //!< first lane of the slice
+    std::size_t count = 0;        //!< lanes in this pass
 };
+
+/**
+ * Validate each distinct lane once.  An invalid lane fails the
+ * requests it covers with the validation message and leaves the
+ * group, so it never reaches a pass (where runTracePass's own check
+ * would fail every lane beside it).
+ */
+void
+dropInvalidLanes(TraceGroup& group, std::vector<JobFailure>& failures)
+{
+    std::erase_if(group.lanes, [&](const Lane& lane) {
+        try {
+            lane.spec.config.validate();
+            return false;
+        } catch (const std::exception& e) {
+            for (std::size_t ri : lane.covers)
+                failures.push_back(JobFailure{ri, e.what()});
+            return true;
+        }
+    });
+}
+
+/**
+ * Stable-sort a group's lanes by (line size, kernel, hit policy), so
+ * lanes that share a piece decode and a vector tile sit together and
+ * a slice of them decodes as few line sizes as it can.
+ */
+void
+sortLanes(TraceGroup& group)
+{
+    auto key = [](const Lane& lane) {
+        const core::CacheConfig& c = lane.spec.config;
+        return std::make_tuple(c.lineBytes, !fastLaneEligible(c),
+                               c.hitPolicy);
+    };
+    std::stable_sort(group.lanes.begin(), group.lanes.end(),
+                     [&](const Lane& a, const Lane& b) {
+                         return key(a) < key(b);
+                     });
+}
+
+/**
+ * Cut the batch into as few passes as keep `jobs` workers busy.  The
+ * target is jobs × ⌈traces / jobs⌉ passes of at most ⌈lanes / target⌉
+ * lanes each; one trace is cut into at most `jobs` contiguous slices
+ * of near-equal lane count.  So a one-trace batch becomes
+ * min(jobs, lanes) passes, and one worker never splits a trace:
+ * every pass walks and decodes its whole trace, so a split only pays
+ * when another worker takes the other slice.
+ */
+std::vector<Pass>
+planPasses(const std::vector<TraceGroup>& groups, std::size_t jobs)
+{
+    std::size_t traces = 0;
+    std::size_t lanes = 0;
+    for (const TraceGroup& group : groups)
+        if (!group.lanes.empty()) {
+            ++traces;
+            lanes += group.lanes.size();
+        }
+    std::vector<Pass> passes;
+    if (lanes == 0)
+        return passes;
+    const std::size_t target = jobs * ((traces + jobs - 1) / jobs);
+    const std::size_t cap = (lanes + target - 1) / target;
+    for (const TraceGroup& group : groups) {
+        const std::size_t n = group.lanes.size();
+        const std::size_t slices = std::min(jobs, (n + cap - 1) / cap);
+        for (std::size_t s = 0, first = 0; s < slices; ++s) {
+            const std::size_t count =
+                n / slices + (s < n % slices ? 1 : 0);
+            passes.push_back(
+                Pass{&group, group.lanes.data() + first, count});
+            first += count;
+        }
+    }
+    return passes;
+}
 
 BatchOutcome
 runBatchPerCell(const std::vector<Request>& requests,
@@ -103,60 +171,54 @@ runBatchOnePass(const std::vector<Request>& requests,
             }
         if (!group) {
             groups.push_back(
-                TraceGroup{request.trace, request.source, {}, {}});
+                TraceGroup{request.trace, request.source, {}});
             group = &groups.back();
         }
-        std::size_t lane = group->lanes.size();
-        for (std::size_t j = 0; j < group->lanes.size(); ++j)
-            if (group->lanes[j].config == request.config &&
-                group->lanes[j].flushAtEnd == request.flushAtEnd) {
-                lane = j;
+        Lane* lane = nullptr;
+        for (Lane& l : group->lanes)
+            if (l.spec.config == request.config &&
+                l.spec.flushAtEnd == request.flushAtEnd) {
+                lane = &l;
                 break;
             }
-        if (lane == group->lanes.size()) {
+        if (!lane) {
             group->lanes.push_back(
-                LaneSpec{request.config, request.flushAtEnd});
-            group->covers.emplace_back();
+                Lane{LaneSpec{request.config, request.flushAtEnd}, {}});
+            lane = &group->lanes.back();
         }
-        group->covers[lane].push_back(i);
+        lane->covers.push_back(i);
     }
 
-    // Chunk each group's lanes so the pool can overlap passes.
+    BatchOutcome outcome;
+    for (TraceGroup& group : groups) {
+        dropInvalidLanes(group, outcome.report.failures);
+        sortLanes(group);
+    }
     const unsigned jobs =
         options.jobs == 0 ? defaultJobs() : options.jobs;
-    const std::size_t lanes_per_chunk =
-        jobs == 1 ? kLanesPerChunkSerial : kLanesPerChunk;
-    std::vector<Chunk> chunks;
-    for (const TraceGroup& group : groups)
-        for (std::size_t first = 0; first < group.lanes.size();
-             first += lanes_per_chunk)
-            chunks.push_back(
-                Chunk{&group, first,
-                      std::min(lanes_per_chunk,
-                               group.lanes.size() - first)});
+    const std::vector<Pass> passes = planPasses(groups, jobs);
 
-    BatchOutcome outcome;
     outcome.results.assign(requests.size(), Result{});
     std::vector<JobTiming> timings(requests.size());
-    std::vector<double> chunkWall(chunks.size(), 0.0);
+    std::vector<double> passWall(passes.size(), 0.0);
 
     std::mutex complete_mutex;
 
     ParallelExecutor executor(options.jobs);
-    SweepReport chunk_report = executor.runTasks(
-        chunks.size(), [&](std::size_t ci) -> Count {
-            const Chunk& chunk = chunks[ci];
-            const TraceGroup& group = *chunk.group;
-            std::vector<LaneSpec> lanes(
-                group.lanes.begin() + chunk.first,
-                group.lanes.begin() + chunk.first + chunk.count);
+    SweepReport pass_report = executor.runTasks(
+        passes.size(), [&](std::size_t pi) -> Count {
+            const Pass& pass = passes[pi];
+            const TraceGroup& group = *pass.group;
+            std::vector<LaneSpec> lanes;
+            for (std::size_t k = 0; k < pass.count; ++k)
+                lanes.push_back(pass.lanes[k].spec);
             std::vector<Result> results =
                 group.source ? runTracePass(*group.source, lanes)
                              : runTracePass(*group.trace, lanes);
             Count replayed = 0;
             for (std::size_t k = 0; k < results.size(); ++k) {
                 replayed = results[k].instructions;
-                for (std::size_t ri : group.covers[chunk.first + k]) {
+                for (std::size_t ri : pass.lanes[k].covers) {
                     outcome.results[ri] = results[k];
                     timings[ri].instructions = results[k].instructions;
                 }
@@ -164,39 +226,37 @@ runBatchOnePass(const std::vector<Request>& requests,
             if (options.onComplete) {
                 std::lock_guard<std::mutex> lock(complete_mutex);
                 for (std::size_t k = 0; k < results.size(); ++k)
-                    for (std::size_t ri : group.covers[chunk.first + k])
+                    for (std::size_t ri : pass.lanes[k].covers)
                         options.onComplete(ri, results[k]);
             }
             return replayed;
         });
 
-    // Re-key the chunk-level report to request granularity: a chunk's
+    // Re-key the pass-level report to request granularity: a pass's
     // wall time is shared evenly by the requests it served, and a
-    // chunk failure fails every request it covered.
-    for (std::size_t ci = 0; ci < chunks.size(); ++ci)
-        if (ci < chunk_report.timings.size())
-            chunkWall[ci] = chunk_report.timings[ci].wallSeconds;
+    // pass failure fails every request it covered.
+    for (std::size_t pi = 0; pi < passes.size(); ++pi)
+        if (pi < pass_report.timings.size())
+            passWall[pi] = pass_report.timings[pi].wallSeconds;
 
-    outcome.report.threads = chunk_report.threads;
-    outcome.report.wallSeconds = chunk_report.wallSeconds;
-    for (std::size_t ci = 0; ci < chunks.size(); ++ci) {
-        const Chunk& chunk = chunks[ci];
-        const TraceGroup& group = *chunk.group;
+    outcome.report.threads = pass_report.threads;
+    outcome.report.wallSeconds = pass_report.wallSeconds;
+    for (std::size_t pi = 0; pi < passes.size(); ++pi) {
+        const Pass& pass = passes[pi];
         std::size_t covered = 0;
-        for (std::size_t k = 0; k < chunk.count; ++k)
-            covered += group.covers[chunk.first + k].size();
+        for (std::size_t k = 0; k < pass.count; ++k)
+            covered += pass.lanes[k].covers.size();
         if (covered == 0)
             continue;
-        double share = chunkWall[ci] / static_cast<double>(covered);
-        for (std::size_t k = 0; k < chunk.count; ++k)
-            for (std::size_t ri : group.covers[chunk.first + k])
+        double share = passWall[pi] / static_cast<double>(covered);
+        for (std::size_t k = 0; k < pass.count; ++k)
+            for (std::size_t ri : pass.lanes[k].covers)
                 timings[ri].wallSeconds = share;
     }
-    for (const JobFailure& failure : chunk_report.failures) {
-        const Chunk& chunk = chunks[failure.index];
-        const TraceGroup& group = *chunk.group;
-        for (std::size_t k = 0; k < chunk.count; ++k)
-            for (std::size_t ri : group.covers[chunk.first + k])
+    for (const JobFailure& failure : pass_report.failures) {
+        const Pass& pass = passes[failure.index];
+        for (std::size_t k = 0; k < pass.count; ++k)
+            for (std::size_t ri : pass.lanes[k].covers)
                 outcome.report.failures.push_back(
                     JobFailure{ri, failure.message});
     }

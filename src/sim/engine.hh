@@ -9,9 +9,10 @@
  * decides *how*:
  *
  *  - Engine::OnePass (the default) groups a batch's requests by
- *    trace, deduplicates identical cells, and replays each trace once
- *    through all of its configurations via runTracePass() — the
- *    trace is decoded once instead of once per cell.
+ *    trace, deduplicates identical cells, and replays each trace
+ *    through its configurations via runTracePass() in as few passes
+ *    as keep the workers busy — the trace is decoded once per pass
+ *    instead of once per cell.
  *  - Engine::PerCell is the classic one-replay-per-cell path
  *    (runTrace() fanned out by ParallelExecutor), kept selectable via
  *    `--engine percell` as the reference and escape hatch.
@@ -90,11 +91,11 @@ using Result = RunResult;
 /**
  * Called with (request index, result) once for each request of a
  * batch that succeeds, as soon as the work that computed it finishes:
- * a one-pass chunk (every request its lanes serve, duplicates
- * included) or a single per-cell replay.  Never called for a failed
- * request.  Calls are serialized, so callbacks need no locking of
- * their own; an exception thrown by one fails the work it reports,
- * like a replay error would.
+ * one pass of the one-pass engine (every request its lanes serve,
+ * duplicates included) or a single per-cell replay.  Never called for
+ * a failed request.  Calls are serialized, so callbacks need no
+ * locking of their own; an exception thrown by one fails the work it
+ * reports, like a replay error would.
  */
 using CompletionFn = std::function<void(std::size_t, const Result&)>;
 

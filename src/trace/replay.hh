@@ -17,8 +17,8 @@
  *    record array or re-running a workload generator.
  *
  * Cursors are independent: concurrent passes over one source (the
- * engine fans lane chunks across a thread pool) each take their own
- * cursor and never share decode state.
+ * engine runs one pass per worker, each over a slice of the lanes)
+ * each take their own cursor and never share decode state.
  *
  * Semantics at the edges, for every source:
  *  - an empty trace yields zero blocks;

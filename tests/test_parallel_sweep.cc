@@ -18,6 +18,7 @@
 #include "sim/parallel.hh"
 #include "sim/sweeps.hh"
 #include "stats/json.hh"
+#include "telemetry/metrics.hh"
 #include "trace/recorder.hh"
 
 namespace jcache::sim
@@ -32,11 +33,11 @@ using trace::RefType;
 
 /** A small trace with hits, misses, conflicts and dirty victims. */
 trace::Trace
-mixedTrace(const std::string& name, Addr seed)
+mixedTrace(const std::string& name, Addr seed, unsigned steps = 400)
 {
     trace::Trace t(name);
     Addr base = seed * 0x40;
-    for (unsigned i = 0; i < 400; ++i) {
+    for (unsigned i = 0; i < steps; ++i) {
         Addr addr = (base + i * 24) % 0x3000;
         t.append({addr & ~Addr{3}, 2, 4,
                   i % 3 ? RefType::Read : RefType::Write});
@@ -308,20 +309,31 @@ TEST(BatchCompletion, FailedRequestsNeverReachTheCallback)
 {
     // Interleave two traces; every request against `broken` carries
     // an invalid configuration (size not a power of two), so its
-    // cells — and under one-pass its whole chunks — fail.
+    // cells fail.  `healthy` gets one invalid cell too: under
+    // one-pass it would share a pass with valid lanes, and it must
+    // fail alone, with the validation message percell reports.
     trace::Trace healthy = mixedTrace("healthy", 2);
     trace::Trace broken = mixedTrace("broken", 9);
     std::vector<Request> grid;
     std::vector<std::size_t> healthy_indices;
-    std::vector<std::size_t> broken_indices;
-    for (CacheConfig config : policyMatrixConfigs()) {
+    std::vector<std::size_t> failing_indices;
+    const std::vector<CacheConfig> configs = policyMatrixConfigs();
+    for (std::size_t k = 0; k < configs.size(); ++k) {
+        CacheConfig config = configs[k];
+        if (k == 5) {
+            CacheConfig invalid = config;
+            invalid.sizeBytes = 1025;
+            failing_indices.push_back(grid.size());
+            grid.push_back({&healthy, invalid, true});
+        }
         healthy_indices.push_back(grid.size());
         grid.push_back({&healthy, config, true});
         config.sizeBytes += 1;
-        broken_indices.push_back(grid.size());
+        failing_indices.push_back(grid.size());
         grid.push_back({&broken, config, true});
     }
 
+    std::vector<std::string> percell_messages;
     for (Engine engine : {Engine::PerCell, Engine::OnePass}) {
         for (unsigned jobs : {1u, 4u}) {
             SCOPED_TRACE(name(engine) + " jobs " + std::to_string(jobs));
@@ -337,14 +349,129 @@ TEST(BatchCompletion, FailedRequestsNeverReachTheCallback)
 
             for (std::size_t i : healthy_indices)
                 EXPECT_EQ(calls[i], 1u) << "healthy request " << i;
-            for (std::size_t i : broken_indices)
-                EXPECT_EQ(calls[i], 0u) << "broken request " << i;
+            for (std::size_t i : failing_indices)
+                EXPECT_EQ(calls[i], 0u) << "failing request " << i;
             ASSERT_EQ(outcome.report.failures.size(),
-                      broken_indices.size());
-            for (std::size_t k = 0; k < broken_indices.size(); ++k)
+                      failing_indices.size());
+            std::vector<std::string> messages;
+            for (std::size_t k = 0; k < failing_indices.size(); ++k) {
                 EXPECT_EQ(outcome.report.failures[k].index,
-                          broken_indices[k]);
+                          failing_indices[k]);
+                messages.push_back(outcome.report.failures[k].message);
+            }
+            if (percell_messages.empty())
+                percell_messages = messages;
+            EXPECT_EQ(messages, percell_messages);
         }
+    }
+}
+
+/**
+ * One trace's cells for the pass-plan tests: four line sizes, both
+ * kernels (direct-mapped and 2-way) and both hit policies, listed so
+ * that no two neighbours share a line size, plus duplicates of two
+ * cells.  16 distinct lanes from 18 requests.
+ */
+std::vector<CacheConfig>
+planConfigs()
+{
+    std::vector<CacheConfig> configs;
+    for (unsigned ways : {2u, 1u})
+        for (auto [hit, miss] :
+             {std::pair{WriteHitPolicy::WriteThrough,
+                        WriteMissPolicy::WriteValidate},
+              std::pair{WriteHitPolicy::WriteBack,
+                        WriteMissPolicy::FetchOnWrite}})
+            for (unsigned line : {64u, 8u, 32u, 16u}) {
+                CacheConfig c;
+                c.sizeBytes = 2048;
+                c.lineBytes = line;
+                c.assoc = ways;
+                c.hitPolicy = hit;
+                c.missPolicy = miss;
+                configs.push_back(c);
+            }
+    configs.push_back(configs[3]);
+    configs.push_back(configs[12]);
+    return configs;
+}
+
+/** Run `grid` one-pass; expect percell's wire JSON in every slot. */
+void
+expectOnePassMatchesPerCell(const std::vector<Request>& grid,
+                            unsigned jobs,
+                            std::uint64_t expected_records)
+{
+    auto& reg = telemetry::Registry::instance();
+    const telemetry::Counter& records =
+        reg.counter("jcache_engine_records_total",
+                    "Trace records decoded by the one-pass engine");
+    BatchOutcome reference = runPerCell(grid, 1);
+    ASSERT_TRUE(reference.ok());
+
+    BatchOptions options;
+    options.engine = Engine::OnePass;
+    options.jobs = jobs;
+    const bool was_armed = telemetry::armed();
+    telemetry::setArmed(true);
+    const std::uint64_t before = records.value();
+    BatchOutcome outcome = runBatch(grid, options);
+    const std::uint64_t walked = records.value() - before;
+    telemetry::setArmed(was_armed);
+
+    ASSERT_TRUE(outcome.ok());
+    ASSERT_EQ(outcome.results.size(), grid.size());
+    for (std::size_t i = 0; i < grid.size(); ++i)
+        EXPECT_EQ(resultText(outcome.results[i]),
+                  resultText(reference.results[i]))
+            << "request " << i;
+    EXPECT_EQ(walked, expected_records);
+}
+
+TEST(OnePassPlan, OneTraceSplitsIntoOnePassPerWorker)
+{
+    // A one-trace batch becomes min(jobs, lanes) passes of
+    // near-equal lane count; each pass walks every record once.
+    trace::Trace t = mixedTrace("plan", 4);
+    std::vector<Request> grid;
+    for (const CacheConfig& c : planConfigs())
+        grid.push_back({&t, c, true});
+    const std::uint64_t n = t.size();
+
+    for (auto [jobs, passes] :
+         {std::pair{1u, 1u}, std::pair{2u, 2u}, std::pair{3u, 3u},
+          std::pair{40u, 16u}}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        expectOnePassMatchesPerCell(grid, jobs, passes * n);
+    }
+}
+
+TEST(OnePassPlan, TwoTracesShareTheWorkers)
+{
+    // 16 lanes on `wide`, 6 on a shorter `narrow`.  At jobs 4 the
+    // target is four passes of at most ⌈22 / 4⌉ = 6 lanes: `wide`
+    // splits three ways and `narrow` stays whole.  At jobs 1 neither
+    // trace splits, though `wide` exceeds ⌈22 / 2⌉ = 11 lanes.
+    trace::Trace wide = mixedTrace("wide", 4);
+    trace::Trace narrow = mixedTrace("narrow", 6, 150);
+    const std::vector<CacheConfig> configs = planConfigs();
+    std::vector<Request> grid;
+    for (std::size_t k = 0; k < configs.size(); ++k) {
+        grid.push_back({&wide, configs[k], true});
+        if (k % 3 == 0)
+            grid.push_back({&narrow, configs[k], false});
+    }
+    const std::uint64_t w = wide.size();
+    const std::uint64_t m = narrow.size();
+    ASSERT_NE(w, m);
+
+    {
+        SCOPED_TRACE("jobs 4");
+        expectOnePassMatchesPerCell(grid, 4, 3 * w + m);
+    }
+    {
+        SCOPED_TRACE("jobs 1");
+        expectOnePassMatchesPerCell(grid, 1, w + m);
     }
 }
 

@@ -157,8 +157,11 @@ compareScalarAndVector(const Trace& t, unsigned lanes, bool flush)
     for (const CacheConfig& c : configs)
         requests.push_back({&t, c, flush});
 
+    // One worker keeps every lane in one pass, so the lanes form
+    // vector tiles at any core count.
     BatchOptions options;
     options.engine = Engine::OnePass;
+    options.jobs = 1;
     BatchOutcome vectored = runBatch(requests, options);
     simd::forceScalar(true);
     BatchOutcome scalar = runBatch(requests, options);
@@ -220,8 +223,7 @@ TEST(Simd, MixedDirtyMaskIsByteIdentical)
 TEST(Simd, EveryLaneCountThroughSeventeen)
 {
     // 1..17 covers a lone lane, partial tiles on either side of the
-    // 4-lane vector width, exact multiples, and one past the 16-lane
-    // chunk so the chunking remainder runs too.
+    // 4-lane vector width, and exact multiples.
     Trace t = mixedDirtyTrace();
     for (unsigned lanes = 1; lanes <= 17; ++lanes)
         compareScalarAndVector(t, lanes, lanes % 2 == 0);
