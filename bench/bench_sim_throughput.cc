@@ -262,11 +262,46 @@ assocGrid(const trace::Trace& trace)
     return requests;
 }
 
-/** The grid a BM_OnePassSweep* argument names: 0 or 1. */
+/**
+ * The paper grid for one trace (72 cells): the six legal (hit, miss)
+ * pairs over the cache-size axis at 16B lines and the line-size axis
+ * at 8KB, flush-stop, every cell a direct-mapped lane.  Its 24 wt+fow
+ * and wt+wv cells are derived from their write-back twins.
+ */
+std::vector<sim::Request>
+paperGrid(const trace::Trace& trace)
+{
+    std::vector<sim::Request> requests;
+    for (auto [hit, miss] : sim::legalPolicyPairs()) {
+        auto cell = [&](Count size, unsigned line) {
+            core::CacheConfig c;
+            c.sizeBytes = size;
+            c.lineBytes = line;
+            c.hitPolicy = hit;
+            c.missPolicy = miss;
+            return sim::Request{&trace, c, true};
+        };
+        for (Count size : sim::standardCacheSizes())
+            requests.push_back(cell(size, 16));
+        for (unsigned line : sim::standardLineSizes())
+            if (line != 16)
+                requests.push_back(cell(8 * 1024, line));
+    }
+    return requests;
+}
+
+/** The grid a BM_OnePassSweep* argument names: 0, 1 or 2. */
 std::vector<sim::Request>
 sweepGrid(const trace::Trace& trace, std::int64_t grid)
 {
-    return grid == 0 ? onePassGrid(trace) : assocGrid(trace);
+    switch (grid) {
+      case 0:
+        return onePassGrid(trace);
+      case 1:
+        return assocGrid(trace);
+      default:
+        return paperGrid(trace);
+    }
 }
 
 /**
@@ -318,8 +353,11 @@ timeOnePass(benchmark::State& state,
  * trace, single worker, one-pass vs per-cell.  Argument 0 is the
  * union Figure 13-16 grid (all four write-miss policies over the
  * cache-size axis at 16B lines and the line-size axis at 8KB), every
- * cell a direct-mapped lane; argument 1 is the associativity and
- * valid-granularity grid, every cell a set-kernel lane.  The
+ * cell a direct-mapped write-through lane, so no cell has a
+ * write-back twin; argument 1 is the associativity and
+ * valid-granularity grid, every cell a set-kernel lane; argument 2 is
+ * the paper grid, whose write-through fetch-on-write and
+ * write-validate cells are derived from their write-back twins.  The
  * "speedup_vs_percell" counter is the headline number: the one-pass
  * engine decodes the trace once per pass instead of once per cell,
  * and must come out >= 2x.
@@ -328,7 +366,7 @@ void
 BM_OnePassSweep(benchmark::State& state)
 {
     const trace::Trace& trace = sim::TraceSet::standard().get("grr");
-    static double percell_seconds[2] = {};
+    static double percell_seconds[3] = {};
     timeOnePass(state, sweepGrid(trace, state.range(0)), 1,
                 percell_seconds[state.range(0)]);
 }
@@ -359,7 +397,7 @@ BM_OnePassSweepMapped(benchmark::State& state)
     for (sim::Request& r : requests)
         r.source = &mapped;
     const auto jobs = static_cast<unsigned>(state.range(1));
-    static double percell_seconds[2][2] = {};
+    static double percell_seconds[3][2] = {};
     timeOnePass(state, requests, jobs,
                 percell_seconds[state.range(0)][jobs - 1]);
 }
@@ -380,10 +418,11 @@ BENCHMARK(BM_OnePassSweep)
     ->ArgName("grid")
     ->Arg(0)
     ->Arg(1)
+    ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_OnePassSweepMapped)
     ->ArgNames({"grid", "jobs"})
-    ->ArgsProduct({{0, 1}, {1, 2}})
+    ->ArgsProduct({{0, 1, 2}, {1, 2}})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

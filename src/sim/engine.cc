@@ -5,7 +5,9 @@
  * The one-pass batch path does the request bookkeeping runTracePass()
  * stays out of: grouping by trace, deduplicating identical cells,
  * validating each distinct cell once, and planning the passes the
- * executor runs in parallel.
+ * executor runs in parallel.  The plan keeps each write-through lane
+ * in the pass of its write-back twin (writeBackTwin()), which answers
+ * it without a replay, and balances the passes by replayed lanes.
  */
 
 #include "sim/engine.hh"
@@ -13,6 +15,8 @@
 #include <algorithm>
 #include <exception>
 #include <mutex>
+#include <numeric>
+#include <optional>
 #include <tuple>
 #include <utility>
 
@@ -30,6 +34,9 @@ struct Lane
 {
     LaneSpec spec;
     std::vector<std::size_t> covers;  //!< request indices
+
+    /** Answered from its write-back twin, the lane before it. */
+    bool derived = false;
 };
 
 /** All requests against one reference stream, deduplicated. */
@@ -72,42 +79,70 @@ dropInvalidLanes(TraceGroup& group, std::vector<JobFailure>& failures)
 }
 
 /**
- * Stable-sort a group's lanes by (line size, kernel, hit policy), so
- * lanes that share a piece decode and a vector tile sit together and
- * a slice of them decodes as few line sizes as it can.
+ * Sort a group's lanes by (line size, kernel, hit policy), so lanes
+ * that share a piece decode and a vector tile sit together and a
+ * slice of them decodes as few line sizes as it can.  A write-through
+ * lane whose writeBackTwin() is in the group is marked derived and
+ * sorts directly after its twin instead.  Equal keys keep first-seen
+ * order.
  */
 void
 sortLanes(TraceGroup& group)
 {
-    auto key = [](const Lane& lane) {
-        const core::CacheConfig& c = lane.spec.config;
+    std::vector<Lane>& lanes = group.lanes;
+    // at[i]: the lane whose place lane i takes, its twin or itself.
+    std::vector<std::size_t> at(lanes.size());
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+        at[i] = i;
+        if (std::optional<LaneSpec> twin = writeBackTwin(lanes[i].spec))
+            for (std::size_t j = 0; j < lanes.size(); ++j)
+                if (lanes[j].spec == *twin) {
+                    at[i] = j;
+                    lanes[i].derived = true;
+                }
+    }
+    auto key = [&](std::size_t i) {
+        const core::CacheConfig& c = lanes[at[i]].spec.config;
         return std::make_tuple(c.lineBytes, !fastLaneEligible(c),
-                               c.hitPolicy);
+                               c.hitPolicy, at[i], lanes[i].derived);
     };
-    std::stable_sort(group.lanes.begin(), group.lanes.end(),
-                     [&](const Lane& a, const Lane& b) {
-                         return key(a) < key(b);
-                     });
+    std::vector<std::size_t> order(lanes.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) { return key(a) < key(b); });
+    std::vector<Lane> sorted;
+    sorted.reserve(lanes.size());
+    for (std::size_t i : order)
+        sorted.push_back(std::move(lanes[i]));
+    lanes = std::move(sorted);
 }
 
 /**
- * Cut the batch into as few passes as keep `jobs` workers busy.  The
- * target is jobs × ⌈traces / jobs⌉ passes of at most ⌈lanes / target⌉
- * lanes each; one trace is cut into at most `jobs` contiguous slices
- * of near-equal lane count.  So a one-trace batch becomes
- * min(jobs, lanes) passes, and one worker never splits a trace:
- * every pass walks and decodes its whole trace, so a split only pays
- * when another worker takes the other slice.
+ * Cut the batch into as few passes as keep `jobs` workers busy,
+ * counting replayed lanes only: a derived lane costs its pass
+ * nothing.  The target is jobs × ⌈traces / jobs⌉ passes of at most
+ * ⌈replayed lanes / target⌉ replayed lanes each; one trace is cut
+ * into at most `jobs` contiguous slices of near-equal replayed-lane
+ * count, never between a lane and the derived lane after it.  So a
+ * one-trace batch becomes min(jobs, replayed lanes) passes, and one
+ * worker never splits a trace: every pass walks and decodes its whole
+ * trace, so a split only pays when another worker takes the other
+ * slice.
  */
 std::vector<Pass>
 planPasses(const std::vector<TraceGroup>& groups, std::size_t jobs)
 {
+    auto replayed = [](const TraceGroup& group) {
+        return static_cast<std::size_t>(
+            std::count_if(group.lanes.begin(), group.lanes.end(),
+                          [](const Lane& lane) { return !lane.derived; }));
+    };
     std::size_t traces = 0;
     std::size_t lanes = 0;
     for (const TraceGroup& group : groups)
         if (!group.lanes.empty()) {
             ++traces;
-            lanes += group.lanes.size();
+            lanes += replayed(group);
         }
     std::vector<Pass> passes;
     if (lanes == 0)
@@ -115,14 +150,22 @@ planPasses(const std::vector<TraceGroup>& groups, std::size_t jobs)
     const std::size_t target = jobs * ((traces + jobs - 1) / jobs);
     const std::size_t cap = (lanes + target - 1) / target;
     for (const TraceGroup& group : groups) {
-        const std::size_t n = group.lanes.size();
+        const std::size_t n = replayed(group);
         const std::size_t slices = std::min(jobs, (n + cap - 1) / cap);
         for (std::size_t s = 0, first = 0; s < slices; ++s) {
-            const std::size_t count =
-                n / slices + (s < n % slices ? 1 : 0);
+            // This slice's replayed lanes, then any derived lane that
+            // follows the last of them.
+            std::size_t want = n / slices + (s < n % slices ? 1 : 0);
+            std::size_t end = first;
+            while (end < group.lanes.size() &&
+                   (want > 0 || group.lanes[end].derived)) {
+                if (!group.lanes[end].derived)
+                    --want;
+                ++end;
+            }
             passes.push_back(
-                Pass{&group, group.lanes.data() + first, count});
-            first += count;
+                Pass{&group, group.lanes.data() + first, end - first});
+            first = end;
         }
     }
     return passes;
@@ -174,16 +217,15 @@ runBatchOnePass(const std::vector<Request>& requests,
                 TraceGroup{request.trace, request.source, {}});
             group = &groups.back();
         }
+        const LaneSpec spec{request.config, request.flushAtEnd};
         Lane* lane = nullptr;
         for (Lane& l : group->lanes)
-            if (l.spec.config == request.config &&
-                l.spec.flushAtEnd == request.flushAtEnd) {
+            if (l.spec == spec) {
                 lane = &l;
                 break;
             }
         if (!lane) {
-            group->lanes.push_back(
-                Lane{LaneSpec{request.config, request.flushAtEnd}, {}});
+            group->lanes.push_back(Lane{spec, {}});
             lane = &group->lanes.back();
         }
         lane->covers.push_back(i);

@@ -23,6 +23,10 @@
  *    lane: any associativity under LRU, FIFO or random replacement,
  *    and any valid-bit granularity.
  *
+ * A write-through lane whose writeBackTwin() is in the pass gets no
+ * FastLane: writeThroughFromTwin() derives its result from the twin's
+ * and from the written bytes that the walk sums.
+ *
  * Byte identity between the two direct-mapped paths is structural:
  * the vector path only ever (a) performs the exact state updates the
  * scalar kernel would and (b) accumulates the same counter increments
@@ -35,6 +39,7 @@
 
 #include "sim/multiconfig.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <map>
@@ -582,8 +587,11 @@ FastLane::replaySet(const Piece* P, std::size_t n)
     BlockCounters c;
 
     // Evict the victim of a miss on `la` in the set at `base`, then
-    // install `la` there with valid bytes `valid`.
-    auto fill = [&](std::uint64_t base, Addr la, ByteMask valid) {
+    // install `la` there with valid bytes `valid`.  Forced inline: it
+    // runs on every miss, and GCC's size budget for this file would
+    // otherwise leave it a call in some instantiations.
+    auto fill = [&](std::uint64_t base, Addr la, ByteMask valid)
+                    __attribute__((always_inline)) {
         const std::uint64_t idx =
             chooseVictim<RP, W>(T, S, base, ways, rng);
         evictLine<WB>(s, c, idx);
@@ -710,22 +718,20 @@ gatherAddr(const void* p)
 }
 
 /**
- * Replay one decoded block through NV×4 lanes of one hit-policy
- * group at once (NV = 1 or 2 vectors of four lanes; the wider tile
- * shares each piece's load, read/write branch and broadcasts across
- * eight lanes).
+ * Replay one decoded block through four lanes of one hit-policy group
+ * at once.
  *
- * Per piece, each vector's four tags (and, when needed, valid and
- * dirty masks) are fetched with one 64-bit gather, using absolute
- * addresses as gather indices so the lanes may have different array
- * bases and different index masks (different cache sizes).  Lanes on
- * the common fast paths — a full read hit, or a write tag hit — are
- * retired entirely with vector compare/accumulate (plus a scalar
- * mask store for write hits); each remaining lane falls back to the
- * scalar reference kernel for that one access, with its own miss
- * policy dispatched at run time (the fast paths never consult it).
- * Counters meet in BlockCounters either way, so regrouping cannot
- * change results.
+ * Per piece, the four tags (and, when needed, valid and dirty masks)
+ * are fetched with one 64-bit gather, using absolute addresses as
+ * gather indices so the lanes may have different array bases and
+ * different index masks (different cache sizes).  Lanes on the common
+ * fast paths — a full read hit, or a write tag hit — are retired
+ * entirely with vector compare/accumulate (plus a scalar mask store
+ * for write hits); each remaining lane falls back to the scalar
+ * reference kernel for that one access, with its own miss policy
+ * dispatched at run time (the fast paths never consult it).  Counters
+ * meet in BlockCounters either way, so regrouping cannot change
+ * results.
  *
  * The fast paths increment several counters by the same amount — a
  * full read hit bumps reads and readHits together; a write-through
@@ -733,11 +739,11 @@ gatherAddr(const void* p)
  * transactions together — so each path keeps one accumulator vector
  * and fans it out into BlockCounters once per block.
  */
-template <bool WB, unsigned NV>
+template <bool WB>
 JCACHE_TARGET_AVX2 void
 replayTileAvx2(FastLane* const* lanes, const Piece* P, std::size_t n)
 {
-    constexpr unsigned NL = NV * 4;
+    constexpr unsigned NL = simd::kLanesPerVector;
     LaneView s[NL];
     BlockCounters c[NL];
     WriteMissPolicy mp[NL];
@@ -747,33 +753,25 @@ replayTileAvx2(FastLane* const* lanes, const Piece* P, std::size_t n)
     }
 
     const auto* base0 = static_cast<const long long*>(nullptr);
-    __m256i tbase[NV], vbase[NV], dbase[NV], im_v[NV];
-    for (unsigned v = 0; v < NV; ++v) {
-        const LaneView* q = s + 4 * v;
-        tbase[v] = _mm256_set_epi64x(
-            gatherAddr(q[3].T), gatherAddr(q[2].T),
-            gatherAddr(q[1].T), gatherAddr(q[0].T));
-        vbase[v] = _mm256_set_epi64x(
-            gatherAddr(q[3].V), gatherAddr(q[2].V),
-            gatherAddr(q[1].V), gatherAddr(q[0].V));
-        dbase[v] = _mm256_set_epi64x(
-            gatherAddr(q[3].D), gatherAddr(q[2].D),
-            gatherAddr(q[1].D), gatherAddr(q[0].D));
-        im_v[v] = _mm256_set_epi64x(
-            static_cast<long long>(q[3].im),
-            static_cast<long long>(q[2].im),
-            static_cast<long long>(q[1].im),
-            static_cast<long long>(q[0].im));
-    }
+    const __m256i tbase =
+        _mm256_set_epi64x(gatherAddr(s[3].T), gatherAddr(s[2].T),
+                          gatherAddr(s[1].T), gatherAddr(s[0].T));
+    const __m256i vbase =
+        _mm256_set_epi64x(gatherAddr(s[3].V), gatherAddr(s[2].V),
+                          gatherAddr(s[1].V), gatherAddr(s[0].V));
+    const __m256i dbase =
+        _mm256_set_epi64x(gatherAddr(s[3].D), gatherAddr(s[2].D),
+                          gatherAddr(s[1].D), gatherAddr(s[0].D));
+    const __m256i im_v = _mm256_set_epi64x(
+        static_cast<long long>(s[3].im), static_cast<long long>(s[2].im),
+        static_cast<long long>(s[1].im), static_cast<long long>(s[0].im));
     const __m256i ones = _mm256_set1_epi64x(1);
     const __m256i zero = _mm256_setzero_si256();
 
     // One accumulator per fast path (see the function comment), plus
     // the path-specific extra: dirty-write hits (WB) or the summed
     // write-through bytes (WT).
-    __m256i read_full_v[NV], write_hit_v[NV], extra_v[NV];
-    for (unsigned v = 0; v < NV; ++v)
-        read_full_v[v] = write_hit_v[v] = extra_v[v] = zero;
+    __m256i read_full_v = zero, write_hit_v = zero, extra_v = zero;
 
     // Single-entry line cache over the gathered state.  A read that
     // fully hits every lane changes no state, so while consecutive
@@ -784,9 +782,7 @@ replayTileAvx2(FastLane* const* lanes, const Piece* P, std::size_t n)
     // mutate lane state, so either invalidates the entry.
     Addr cached_la = 0;
     bool cache_ok = false;
-    __m256i cached_hit[NV], cached_valid[NV];
-    for (unsigned v = 0; v < NV; ++v)
-        cached_hit[v] = cached_valid[v] = zero;
+    __m256i cached_hit = zero, cached_valid = zero;
 
     for (std::size_t k = 0; k < n; ++k) {
         const Piece p = P[k];
@@ -794,150 +790,117 @@ replayTileAvx2(FastLane* const* lanes, const Piece* P, std::size_t n)
         if (p.read && cache_ok && p.la == cached_la) {
             const __m256i m_v =
                 _mm256_set1_epi64x(static_cast<long long>(p.mask));
-            for (unsigned v = 0; v < NV; ++v) {
-                const __m256i vok = _mm256_cmpeq_epi64(
-                    _mm256_and_si256(cached_valid[v], m_v), m_v);
-                const __m256i full_hit =
-                    _mm256_and_si256(cached_hit[v], vok);
-                const int fm = _mm256_movemask_pd(
-                    _mm256_castsi256_pd(full_hit));
-                read_full_v[v] = _mm256_add_epi64(
-                    read_full_v[v], _mm256_and_si256(full_hit, ones));
-                if (fm != 0xf) {
-                    cache_ok = false;
-                    for (unsigned i = 0; i < 4; ++i)
-                        if (!(fm & (1u << i)))
-                            applyRead<WB>(s[4 * v + i], c[4 * v + i],
-                                          p);
-                }
+            const __m256i vok = _mm256_cmpeq_epi64(
+                _mm256_and_si256(cached_valid, m_v), m_v);
+            const __m256i full_hit = _mm256_and_si256(cached_hit, vok);
+            const int fm =
+                _mm256_movemask_pd(_mm256_castsi256_pd(full_hit));
+            read_full_v = _mm256_add_epi64(
+                read_full_v, _mm256_and_si256(full_hit, ones));
+            if (fm != 0xf) {
+                cache_ok = false;
+                for (unsigned i = 0; i < NL; ++i)
+                    if (!(fm & (1u << i)))
+                        applyRead<WB>(s[i], c[i], p);
             }
             continue;
         }
 
         const __m256i la_v =
             _mm256_set1_epi64x(static_cast<long long>(p.la));
-        __m256i idx[NV], bofs[NV], tag_hit[NV];
-        int hm[NV];
-        for (unsigned v = 0; v < NV; ++v) {
-            idx[v] = _mm256_and_si256(la_v, im_v[v]);
-            bofs[v] = _mm256_slli_epi64(idx[v], 3);
-            const __m256i tags = _mm256_i64gather_epi64(
-                base0, _mm256_add_epi64(tbase[v], bofs[v]), 1);
-            tag_hit[v] = _mm256_cmpeq_epi64(tags, la_v);
-            hm[v] =
-                _mm256_movemask_pd(_mm256_castsi256_pd(tag_hit[v]));
-        }
+        const __m256i idx = _mm256_and_si256(la_v, im_v);
+        const __m256i bofs = _mm256_slli_epi64(idx, 3);
+        const __m256i tags = _mm256_i64gather_epi64(
+            base0, _mm256_add_epi64(tbase, bofs), 1);
+        const __m256i tag_hit = _mm256_cmpeq_epi64(tags, la_v);
+        const int hm = _mm256_movemask_pd(_mm256_castsi256_pd(tag_hit));
 
         if (p.read) {
-            const __m256i m_v =
-                _mm256_set1_epi64x(static_cast<long long>(p.mask));
-            bool all_full = true;
-            for (unsigned v = 0; v < NV; ++v) {
-                int fm = 0;
-                if (hm[v] != 0) {
-                    const __m256i valid = _mm256_i64gather_epi64(
-                        base0, _mm256_add_epi64(vbase[v], bofs[v]),
-                        1);
-                    cached_hit[v] = tag_hit[v];
-                    cached_valid[v] = valid;
-                    const __m256i vok = _mm256_cmpeq_epi64(
-                        _mm256_and_si256(valid, m_v), m_v);
-                    const __m256i full_hit =
-                        _mm256_and_si256(tag_hit[v], vok);
-                    fm = _mm256_movemask_pd(
-                        _mm256_castsi256_pd(full_hit));
-                    read_full_v[v] = _mm256_add_epi64(
-                        read_full_v[v],
-                        _mm256_and_si256(full_hit, ones));
-                }
-                if (fm != 0xf) {
-                    all_full = false;
-                    for (unsigned i = 0; i < 4; ++i)
-                        if (!(fm & (1u << i)))
-                            applyRead<WB>(s[4 * v + i], c[4 * v + i],
-                                          p);
-                }
+            int fm = 0;
+            if (hm != 0) {
+                const __m256i m_v =
+                    _mm256_set1_epi64x(static_cast<long long>(p.mask));
+                const __m256i valid = _mm256_i64gather_epi64(
+                    base0, _mm256_add_epi64(vbase, bofs), 1);
+                cached_hit = tag_hit;
+                cached_valid = valid;
+                const __m256i vok = _mm256_cmpeq_epi64(
+                    _mm256_and_si256(valid, m_v), m_v);
+                const __m256i full_hit = _mm256_and_si256(tag_hit, vok);
+                fm = _mm256_movemask_pd(_mm256_castsi256_pd(full_hit));
+                read_full_v = _mm256_add_epi64(
+                    read_full_v, _mm256_and_si256(full_hit, ones));
             }
+            if (fm != 0xf)
+                for (unsigned i = 0; i < NL; ++i)
+                    if (!(fm & (1u << i)))
+                        applyRead<WB>(s[i], c[i], p);
             cached_la = p.la;
-            cache_ok = all_full;
+            cache_ok = fm == 0xf;
         } else {
             cache_ok = false;
-            for (unsigned v = 0; v < NV; ++v) {
-                if (hm[v] != 0) {
-                    write_hit_v[v] = _mm256_add_epi64(
-                        write_hit_v[v],
-                        _mm256_and_si256(tag_hit[v], ones));
-                    alignas(32) std::uint64_t idxs[4];
-                    storeLanes(idxs, idx[v]);
-                    // Branchless mask update: per lane, OR in the
-                    // piece mask gated by that lane's hit mask
-                    // (all-ones or zero) — OR-ing zero into the
-                    // line a missing lane indexes is a no-op.
-                    alignas(32) std::uint64_t gate[4];
-                    storeLanes(gate, tag_hit[v]);
-                    if (WB) {
-                        const __m256i dirty = _mm256_i64gather_epi64(
-                            base0,
-                            _mm256_add_epi64(dbase[v], bofs[v]), 1);
-                        const __m256i dz =
-                            _mm256_cmpeq_epi64(dirty, zero);
-                        const __m256i dirty_hit =
-                            _mm256_andnot_si256(dz, tag_hit[v]);
-                        extra_v[v] = _mm256_add_epi64(
-                            extra_v[v],
-                            _mm256_and_si256(dirty_hit, ones));
-                        for (unsigned i = 0; i < 4; ++i) {
-                            const ByteMask gm = p.mask & gate[i];
-                            s[4 * v + i].D[idxs[i]] |= gm;
-                            s[4 * v + i].V[idxs[i]] |= gm;
-                        }
-                    } else {
-                        extra_v[v] = _mm256_add_epi64(
-                            extra_v[v],
-                            _mm256_and_si256(
-                                tag_hit[v],
-                                _mm256_set1_epi64x(
-                                    static_cast<long long>(p.size))));
-                        for (unsigned i = 0; i < 4; ++i)
-                            s[4 * v + i].V[idxs[i]] |=
-                                p.mask & gate[i];
+            if (hm != 0) {
+                write_hit_v = _mm256_add_epi64(
+                    write_hit_v, _mm256_and_si256(tag_hit, ones));
+                alignas(32) std::uint64_t idxs[NL];
+                storeLanes(idxs, idx);
+                // Branchless mask update: per lane, OR in the piece
+                // mask gated by that lane's hit mask (all-ones or
+                // zero) — OR-ing zero into the line a missing lane
+                // indexes is a no-op.
+                alignas(32) std::uint64_t gate[NL];
+                storeLanes(gate, tag_hit);
+                if (WB) {
+                    const __m256i dirty = _mm256_i64gather_epi64(
+                        base0, _mm256_add_epi64(dbase, bofs), 1);
+                    const __m256i dz = _mm256_cmpeq_epi64(dirty, zero);
+                    const __m256i dirty_hit =
+                        _mm256_andnot_si256(dz, tag_hit);
+                    extra_v = _mm256_add_epi64(
+                        extra_v, _mm256_and_si256(dirty_hit, ones));
+                    for (unsigned i = 0; i < NL; ++i) {
+                        const ByteMask gm = p.mask & gate[i];
+                        s[i].D[idxs[i]] |= gm;
+                        s[i].V[idxs[i]] |= gm;
                     }
-                }
-                if (hm[v] != 0xf) {
-                    for (unsigned i = 0; i < 4; ++i)
-                        if (!(hm[v] & (1u << i)))
-                            applyWriteDyn<WB>(mp[4 * v + i],
-                                              s[4 * v + i],
-                                              c[4 * v + i], p);
+                } else {
+                    extra_v = _mm256_add_epi64(
+                        extra_v,
+                        _mm256_and_si256(
+                            tag_hit, _mm256_set1_epi64x(
+                                         static_cast<long long>(p.size))));
+                    for (unsigned i = 0; i < NL; ++i)
+                        s[i].V[idxs[i]] |= p.mask & gate[i];
                 }
             }
+            if (hm != 0xf)
+                for (unsigned i = 0; i < NL; ++i)
+                    if (!(hm & (1u << i)))
+                        applyWriteDyn<WB>(mp[i], s[i], c[i], p);
         }
     }
 
-    alignas(32) std::uint64_t t[4];
-    for (unsigned v = 0; v < NV; ++v) {
-        BlockCounters* cv = c + 4 * v;
-        storeLanes(t, read_full_v[v]);
-        for (unsigned i = 0; i < 4; ++i) {
-            cv[i].reads += t[i];
-            cv[i].readHits += t[i];
+    alignas(32) std::uint64_t t[NL];
+    storeLanes(t, read_full_v);
+    for (unsigned i = 0; i < NL; ++i) {
+        c[i].reads += t[i];
+        c[i].readHits += t[i];
+    }
+    storeLanes(t, write_hit_v);
+    for (unsigned i = 0; i < NL; ++i) {
+        c[i].writes += t[i];
+        c[i].writeHits += t[i];
+        if (!WB) {
+            c[i].wtCount += t[i];
+            c[i].wtTx += t[i];
         }
-        storeLanes(t, write_hit_v[v]);
-        for (unsigned i = 0; i < 4; ++i) {
-            cv[i].writes += t[i];
-            cv[i].writeHits += t[i];
-            if (!WB) {
-                cv[i].wtCount += t[i];
-                cv[i].wtTx += t[i];
-            }
-        }
-        storeLanes(t, extra_v[v]);
-        for (unsigned i = 0; i < 4; ++i) {
-            if (WB)
-                cv[i].dirtyWrites += t[i];
-            else
-                cv[i].wtBytes += t[i];
-        }
+    }
+    storeLanes(t, extra_v);
+    for (unsigned i = 0; i < NL; ++i) {
+        if (WB)
+            c[i].dirtyWrites += t[i];
+        else
+            c[i].wtBytes += t[i];
     }
     for (unsigned i = 0; i < NL; ++i)
         lanes[i]->absorb(c[i]);
@@ -982,7 +945,7 @@ replayGroupT(const std::vector<FastLane*>& lanes, const Piece* P,
     if (simd::avx2Enabled()) {
         for (; i + simd::kLanesPerVector <= lanes.size();
              i += simd::kLanesPerVector)
-            replayTileAvx2<WB, 1>(&lanes[i], P, n);
+            replayTileAvx2<WB>(&lanes[i], P, n);
     }
 #endif
     for (; i < lanes.size(); ++i)
@@ -1067,12 +1030,50 @@ struct DecodeGroup
     }
 };
 
+/**
+ * A write-through lane's result, from its write-back twin's (see
+ * writeBackTwin()): the same lines, misses and victims, with every
+ * write passed through and nothing dirty.  `writtenBytes` sums the
+ * pass's write records, whose pieces are the twin's writes.
+ */
+RunResult
+writeThroughFromTwin(const RunResult& twin, const core::CacheConfig& config,
+                     Count writtenBytes)
+{
+    RunResult r = twin;
+    r.config = config;
+    r.cache.writeThroughs = r.cache.writes;
+    r.cache.writesToDirtyLines = 0;
+    r.cache.dirtyVictims = 0;
+    r.cache.dirtyVictimDirtyBytes = 0;
+    r.cache.flushedDirtyLines = 0;
+    r.cache.flushedDirtyBytes = 0;
+    r.writeThroughTraffic.transactions = r.cache.writes;
+    r.writeThroughTraffic.bytes = writtenBytes;
+    r.writeBackTraffic = {};
+    r.flushTraffic = {};
+    return r;
+}
+
 } // namespace
 
 bool
 fastLaneEligible(const core::CacheConfig& config)
 {
     return config.assoc == 1 && config.validGranularity == 1;
+}
+
+std::optional<LaneSpec>
+writeBackTwin(const LaneSpec& lane)
+{
+    const core::CacheConfig& c = lane.config;
+    if (c.hitPolicy != core::WriteHitPolicy::WriteThrough ||
+        (c.missPolicy != WriteMissPolicy::FetchOnWrite &&
+         c.missPolicy != WriteMissPolicy::WriteValidate))
+        return std::nullopt;
+    LaneSpec twin = lane;
+    twin.config.hitPolicy = core::WriteHitPolicy::WriteBack;
+    return twin;
 }
 
 std::vector<RunResult>
@@ -1084,31 +1085,53 @@ runTracePass(const trace::ReplaySource& source,
     span.arg("trace", source.name());
     span.arg("lanes", std::to_string(lanes.size()));
 
+    // A lane whose write-back twin is in this pass is answered from
+    // the twin's replay: answeredBy[i] is that twin, or i itself.
+    std::vector<std::size_t> answeredBy(lanes.size());
+    std::size_t derived = 0;
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+        lanes[i].config.validate();
+        answeredBy[i] = i;
+        if (std::optional<LaneSpec> twin = writeBackTwin(lanes[i])) {
+            auto it = std::find(lanes.begin(), lanes.end(), *twin);
+            if (it != lanes.end()) {
+                answeredBy[i] = static_cast<std::size_t>(it - lanes.begin());
+                ++derived;
+            }
+        }
+    }
+    span.arg("derived", std::to_string(derived));
+
     // Lanes sharing a line size share one decode of each block;
     // within a line size, direct-mapped lanes of one hit policy replay
     // together so the vector tiles agree on what a write hit does (the
     // miss policy is per-lane, consulted only off the fast path).
-    std::vector<std::unique_ptr<FastLane>> state;
-    state.reserve(lanes.size());
+    std::vector<std::unique_ptr<FastLane>> state(lanes.size());
     std::map<unsigned, DecodeGroup> groups;
-    for (const LaneSpec& spec : lanes) {
-        spec.config.validate();
-        state.push_back(std::make_unique<FastLane>(spec.config));
-        DecodeGroup& group = groups[spec.config.lineBytes];
-        group.lineShift = state.back()->lineShift();
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+        if (answeredBy[i] != i)
+            continue;
+        const core::CacheConfig& config = lanes[i].config;
+        state[i] = std::make_unique<FastLane>(config);
+        DecodeGroup& group = groups[config.lineBytes];
+        group.lineShift = state[i]->lineShift();
         group.pieces.reserve(blockRecords == 0 ? 2 : blockRecords * 2);
-        group.add(state.back().get());
+        group.add(state[i].get());
     }
 
     Count instructions = 0;
+    Count written_bytes = 0;  // what a derived lane writes through
     Count block_count = 0;
     std::unique_ptr<trace::BlockCursor> cursor =
         source.blocks(blockRecords);
     trace::TraceBlock block;
     while (cursor->next(block)) {
         ++block_count;
-        for (std::size_t k = 0; k < block.count; ++k)
-            instructions += block.records[k].instrDelta;
+        for (std::size_t k = 0; k < block.count; ++k) {
+            const trace::TraceRecord& r = block.records[k];
+            instructions += r.instrDelta;
+            written_bytes += r.type == trace::RefType::Read ? 0 : r.size;
+        }
         auto decodeAll = [&] {
             for (auto& [line_bytes, group] : groups)
                 decodeBlock(block.records, block.count, line_bytes,
@@ -1135,13 +1158,19 @@ runTracePass(const trace::ReplaySource& source,
         }
     }
 
-    std::vector<RunResult> results;
-    results.reserve(lanes.size());
+    std::vector<RunResult> results(lanes.size());
     for (std::size_t i = 0; i < lanes.size(); ++i) {
+        if (!state[i])
+            continue;
         if (lanes[i].flushAtEnd)
             state[i]->flush();
-        results.push_back(state[i]->result(instructions));
+        results[i] = state[i]->result(instructions);
     }
+    for (std::size_t i = 0; i < lanes.size(); ++i)
+        if (answeredBy[i] != i)
+            results[i] = writeThroughFromTwin(results[answeredBy[i]],
+                                              lanes[i].config,
+                                              written_bytes);
 
     if (telemetry::armed()) {
         auto& reg = telemetry::Registry::instance();
@@ -1156,15 +1185,19 @@ runTracePass(const trace::ReplaySource& source,
 
         // Lanes by the kernel that replayed them: the vector tiles
         // take whole tiles of each hit-policy group, the scalar
-        // direct-mapped kernel the rest of it.
-        const char* help = "Lanes replayed by one-pass engine passes, "
-                           "by kernel";
+        // direct-mapped kernel the rest of it.  Derived lanes
+        // replayed nothing.
+        const char* help = "Lanes of one-pass engine passes, by the "
+                           "kernel that replayed them, or derived";
         static telemetry::Counter& avx2_lanes = reg.counter(
             "jcache_engine_lanes_total", help, {{"kind", "avx2"}});
         static telemetry::Counter& scalar_lanes = reg.counter(
             "jcache_engine_lanes_total", help, {{"kind", "scalar"}});
         static telemetry::Counter& set_lanes = reg.counter(
             "jcache_engine_lanes_total", help, {{"kind", "set"}});
+        static telemetry::Counter& derived_lanes = reg.counter(
+            "jcache_engine_lanes_total", help, {{"kind", "derived"}});
+        derived_lanes.inc(derived);
         const std::size_t tile =
             simd::avx2Enabled() ? simd::kLanesPerVector : 1;
         for (const auto& [line_bytes, group] : groups) {

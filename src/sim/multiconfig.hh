@@ -35,7 +35,10 @@
  *    write-miss policy is switched on at run time, on write misses
  *    only.
  *
- * Together they take every configuration runTrace() does.
+ * Together they take every configuration runTrace() does.  Some
+ * lanes need neither: a write-through lane whose write-back twin
+ * (writeBackTwin()) is in the same pass replays nothing, and its
+ * result is derived from the twin's.
  *
  * The record stream itself comes from a trace::ReplaySource: either
  * zero-copy views into an in-memory Trace, or blocks decoded lazily
@@ -53,6 +56,7 @@
 #define JCACHE_SIM_MULTICONFIG_HH
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "core/config.hh"
@@ -71,6 +75,8 @@ struct LaneSpec
 
     /** Drain dirty lines at end of trace (flush-stop statistics). */
     bool flushAtEnd = false;
+
+    bool operator==(const LaneSpec&) const = default;
 };
 
 /**
@@ -83,6 +89,24 @@ struct LaneSpec
 bool fastLaneEligible(const core::CacheConfig& config);
 
 /**
+ * The lane whose replay answers `lane`, when only the hit policy
+ * tells them apart.
+ *
+ * Under fetch-on-write and write-validate the write-hit policy only
+ * decides where written data goes: a write-through cache and a
+ * write-back cache of one organization hold the same lines and take
+ * the same misses and victims.  So a write-through lane under either
+ * policy is answered from its twin, the write-back lane with the same
+ * configuration and the same flushAtEnd, whenever the twin replays in
+ * the same pass: every write passes through, and nothing is dirty.
+ *
+ * @return the write-back twin of `lane`; nullopt when `lane` is
+ *         write-back, write-around or write-invalidate, and so must
+ *         replay itself.
+ */
+std::optional<LaneSpec> writeBackTwin(const LaneSpec& lane);
+
+/**
  * Replay `source` once through every lane.
  *
  * @param source        where the blocks come from; sources with a
@@ -93,7 +117,9 @@ bool fastLaneEligible(const core::CacheConfig& config);
  *                      the default is tuned, see
  *                      trace::kDefaultBlockRecords.
  * @return one RunResult per lane, in `lanes` order, byte-identical to
- *         runTrace(trace, lanes[i].config, lanes[i].flushAtEnd).
+ *         runTrace(trace, lanes[i].config, lanes[i].flushAtEnd).  A
+ *         lane whose writeBackTwin() is also in `lanes` is derived
+ *         from the twin's result, not replayed.
  *
  * Emits `sweep.trace_pass` and per-block `sweep.block_decode` spans,
  * and advances the `jcache_engine_records_total`,

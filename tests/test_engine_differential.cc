@@ -4,7 +4,8 @@
  * of the Figure 13-16 grid replayed by the one-pass engine must be
  * byte-identical to the per-cell reference — every counter, every
  * traffic class, and the rendered table/JSON output — plus write-back
- * with flush, the set kernel's associativity, replacement and
+ * with flush, write-through cells derived from their write-back
+ * twins, the set kernel's associativity, replacement and
  * valid-granularity grid, and the empty trace.
  */
 
@@ -23,6 +24,7 @@
 #include "sim/engine.hh"
 #include "sim/multiconfig.hh"
 #include "sim/sweeps.hh"
+#include "telemetry/metrics.hh"
 #include "trace/import.hh"
 #include "trace/replay_cache.hh"
 #include "util/simd.hh"
@@ -197,6 +199,79 @@ TEST(EngineDifferential, WriteBackWithFlushIsIdentical)
 }
 
 /**
+ * Write-through cells beside their write-back twins, 75 cells: the six
+ * legal (hit, miss) pairs over the size axis (16B lines) and the line
+ * axis (8KB), flush-stop, so each of the 12 geometries derives its
+ * wt+fow and wt+wv cells; a wt+fow cell whose write-back twin has the
+ * other flush setting, so it must replay itself; and a 2-way LRU
+ * twin pair.  25 cells are derived.
+ */
+std::vector<Request>
+twinGrid(const trace::Trace& t)
+{
+    std::vector<Request> requests;
+    for (auto [hit, miss] : legalPolicyPairs()) {
+        for (Count size : standardCacheSizes())
+            requests.push_back({&t, config(size, 16, hit, miss), true});
+        for (unsigned line : standardLineSizes())
+            if (line != 16)
+                requests.push_back(
+                    {&t, config(8 * 1024, line, hit, miss), true});
+    }
+    requests.push_back({&t,
+                        config(4 * 1024, 16, WriteHitPolicy::WriteThrough,
+                               WriteMissPolicy::FetchOnWrite),
+                        false});
+    for (WriteHitPolicy hit :
+         {WriteHitPolicy::WriteBack, WriteHitPolicy::WriteThrough}) {
+        CacheConfig c = config(2 * 1024, 16, hit,
+                               WriteMissPolicy::FetchOnWrite);
+        c.assoc = 2;
+        requests.push_back({&t, c, true});
+    }
+    return requests;
+}
+
+TEST(EngineDifferential, WriteThroughTwinsAreByteIdentical)
+{
+    const telemetry::Counter& derived =
+        telemetry::Registry::instance().counter(
+            "jcache_engine_lanes_total",
+            "Lanes of one-pass engine passes, by the kernel that "
+            "replayed them, or derived",
+            {{"kind", "derived"}});
+    const bool was_armed = telemetry::armed();
+    telemetry::setArmed(true);
+    for (const trace::Trace& t : traces()) {
+        std::vector<Request> requests = twinGrid(t);
+        BatchOutcome percell = runWith(requests, Engine::PerCell);
+        for (bool scalar : {false, true})
+            for (unsigned jobs : {1u, 2u, 3u}) {
+                SCOPED_TRACE(t.name() + " jobs " + std::to_string(jobs) +
+                             (scalar ? " scalar" : ""));
+                BatchOptions options;
+                options.engine = Engine::OnePass;
+                options.jobs = jobs;
+                const std::uint64_t before = derived.value();
+                simd::forceScalar(scalar);
+                BatchOutcome onepass = runBatch(requests, options);
+                simd::forceScalar(false);
+                ASSERT_TRUE(onepass.ok());
+                // Every pass keeps a twin beside its write-back lane.
+                EXPECT_EQ(derived.value() - before, 25u);
+                for (std::size_t i = 0; i < requests.size(); ++i) {
+                    SCOPED_TRACE("cell " + std::to_string(i));
+                    expectIdentical(percell.results[i],
+                                    onepass.results[i]);
+                    EXPECT_EQ(resultJson(percell.results[i]),
+                              resultJson(onepass.results[i]));
+                }
+            }
+    }
+    telemetry::setArmed(was_armed);
+}
+
+/**
  * The set kernel's grid for one trace, 162 cells: every second cell
  * of the product of the six legal (hit, miss) pairs, lru/fifo/random
  * replacement, direct-mapped, 2/4/8/16-way and fully associative 1 KB
@@ -238,16 +313,37 @@ TEST(EngineDifferential, SetKernelGridIsByteIdentical)
     for (const trace::Trace& t : traces()) {
         std::vector<Request> requests = setKernelGrid(t);
         BatchOutcome percell = runWith(requests, Engine::PerCell);
-        for (bool scalar : {false, true}) {
-            simd::forceScalar(scalar);
-            BatchOutcome onepass = runWith(requests, Engine::OnePass);
-            simd::forceScalar(false);
-            for (std::size_t i = 0; i < requests.size(); ++i) {
-                SCOPED_TRACE(t.name() + " cell " + std::to_string(i) +
-                             (scalar ? " scalar" : ""));
-                expectIdentical(percell.results[i], onepass.results[i]);
-                EXPECT_EQ(resultJson(percell.results[i]),
-                          resultJson(onepass.results[i]));
+
+        // The whole grid, then its write-through cells alone: in the
+        // whole grid each wt+fow and wt+wv cell is derived from its
+        // write-back twin, so only the second batch replays them on
+        // the set kernel.
+        std::vector<std::size_t> all, write_through;
+        for (std::size_t i = 0; i < requests.size(); ++i) {
+            all.push_back(i);
+            if (requests[i].config.hitPolicy ==
+                WriteHitPolicy::WriteThrough)
+                write_through.push_back(i);
+        }
+        for (const std::vector<std::size_t>* cells :
+             {&all, &write_through}) {
+            std::vector<Request> batch;
+            for (std::size_t i : *cells)
+                batch.push_back(requests[i]);
+            for (bool scalar : {false, true}) {
+                simd::forceScalar(scalar);
+                BatchOutcome onepass = runWith(batch, Engine::OnePass);
+                simd::forceScalar(false);
+                for (std::size_t k = 0; k < cells->size(); ++k) {
+                    const std::size_t i = (*cells)[k];
+                    SCOPED_TRACE(t.name() + " cell " + std::to_string(i) +
+                                 " of " + std::to_string(batch.size()) +
+                                 (scalar ? " scalar" : ""));
+                    expectIdentical(percell.results[i],
+                                    onepass.results[k]);
+                    EXPECT_EQ(resultJson(percell.results[i]),
+                              resultJson(onepass.results[k]));
+                }
             }
         }
 

@@ -446,6 +446,32 @@ TEST(OnePassPlan, OneTraceSplitsIntoOnePassPerWorker)
     }
 }
 
+TEST(OnePassPlan, WriteThroughTwinsRideWithTheirWriteBackLane)
+{
+    // planConfigs() plus a wt+fow twin of each write-back cell, listed
+    // before it: 24 distinct lanes, of which 16 replay.  The plan
+    // splits by replayed lanes and keeps each twin in its write-back
+    // lane's pass, so jobs 40 plans 16 passes, not 24.
+    trace::Trace t = mixedTrace("twins", 4);
+    std::vector<Request> grid;
+    for (const CacheConfig& c : planConfigs()) {
+        if (c.hitPolicy == WriteHitPolicy::WriteBack) {
+            CacheConfig twin = c;
+            twin.hitPolicy = WriteHitPolicy::WriteThrough;
+            grid.push_back({&t, twin, true});
+        }
+        grid.push_back({&t, c, true});
+    }
+    const std::uint64_t n = t.size();
+
+    for (auto [jobs, passes] :
+         {std::pair{1u, 1u}, std::pair{2u, 2u}, std::pair{3u, 3u},
+          std::pair{40u, 16u}}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        expectOnePassMatchesPerCell(grid, jobs, passes * n);
+    }
+}
+
 TEST(OnePassPlan, TwoTracesShareTheWorkers)
 {
     // 16 lanes on `wide`, 6 on a shorter `narrow`.  At jobs 4 the

@@ -232,19 +232,21 @@ TEST(Simd, EveryLaneCountThroughSeventeen)
 TEST(Simd, EachPassCountsItsLanesByKernel)
 {
     // Four direct-mapped lanes of one line size and hit policy (one
-    // vector tile) plus one set lane: each pass moves the tile's four
-    // lanes on `avx2` or, forced scalar, on `scalar`, and the set lane
-    // on `set`.
+    // vector tile) plus a write-back set lane and its write-through
+    // twin: each pass moves the tile's four lanes on `avx2` or, forced
+    // scalar, on `scalar`, the write-back set lane on `set`, and the
+    // twin, which replays nothing, on `derived`.
     auto& reg = telemetry::Registry::instance();
     auto lanes_of = [&](const char* kind) -> const telemetry::Counter& {
         return reg.counter("jcache_engine_lanes_total",
-                           "Lanes replayed by one-pass engine passes, "
-                           "by kernel",
+                           "Lanes of one-pass engine passes, by the "
+                           "kernel that replayed them, or derived",
                            {{"kind", kind}});
     };
     const telemetry::Counter& avx2 = lanes_of("avx2");
     const telemetry::Counter& scalar = lanes_of("scalar");
     const telemetry::Counter& set = lanes_of("set");
+    const telemetry::Counter& derived = lanes_of("derived");
 
     std::vector<LaneSpec> lanes;
     for (unsigned i = 0; i < 4; ++i) {
@@ -257,6 +259,8 @@ TEST(Simd, EachPassCountsItsLanesByKernel)
     CacheConfig two_way = lanes.front().config;
     two_way.assoc = 2;
     lanes.push_back({two_way, false});
+    two_way.hitPolicy = WriteHitPolicy::WriteBack;
+    lanes.push_back({two_way, false});
 
     Trace t = mixedDirtyTrace();
     const bool was_armed = telemetry::armed();
@@ -268,10 +272,12 @@ TEST(Simd, EachPassCountsItsLanesByKernel)
         const std::uint64_t avx2_before = avx2.value();
         const std::uint64_t scalar_before = scalar.value();
         const std::uint64_t set_before = set.value();
+        const std::uint64_t derived_before = derived.value();
         runTracePass(t, lanes);
         EXPECT_EQ(avx2.value() - avx2_before, tiled ? 4u : 0u);
         EXPECT_EQ(scalar.value() - scalar_before, tiled ? 0u : 4u);
         EXPECT_EQ(set.value() - set_before, 1u);
+        EXPECT_EQ(derived.value() - derived_before, 1u);
     }
     simd::forceScalar(false);
     telemetry::setArmed(was_armed);
