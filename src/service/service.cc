@@ -260,7 +260,13 @@ Service::Service(const ServiceConfig& config)
     }
     if (!config_.shard.workers.empty())
         shard_ = std::make_unique<ShardPool>(config_.shard);
-    scheduler_ = std::thread([this] { schedulerLoop(); });
+    // A coordinator's jobs scatter to its workers, so it runs them
+    // one at a time and needs no pool of its own.
+    if (!shard_)
+        pool_ = std::make_unique<sim::WorkerPool>(executorThreads_);
+    const unsigned schedulers = shard_ ? 1 : executorThreads_;
+    for (unsigned t = 0; t < schedulers; ++t)
+        schedulers_.emplace_back([this] { schedulerLoop(); });
 }
 
 Service::~Service()
@@ -270,8 +276,8 @@ Service::~Service()
         stopping_.store(true);
     }
     queue_cv_.notify_all();
-    if (scheduler_.joinable())
-        scheduler_.join();
+    for (std::thread& t : schedulers_)
+        t.join();
 }
 
 void
@@ -464,7 +470,7 @@ Service::executeCells(const sim::ResolvedTrace& resolved,
                             resolved.source.get()});
     sim::BatchOptions options;
     options.engine = config_.engine;
-    options.jobs = executorThreads_;
+    options.pool = pool_.get();
     sim::BatchOutcome batch = sim::runBatch(requests, options);
     recordJobTiming(
         std::chrono::duration<double>(Clock::now() - start).count(),
@@ -538,6 +544,8 @@ Service::snapshot() const
     }
     snap.queueDepth = queueDepth();
     snap.queueCapacity = config_.queueCapacity;
+    if (pool_)
+        snap.poolUtilization = pool_->utilization();
     snap.jobWallP50Seconds = jobWall_.percentile(50.0);
     snap.jobWallP90Seconds = jobWall_.percentile(90.0);
     snap.jobWallP99Seconds = jobWall_.percentile(99.0);
@@ -1028,9 +1036,11 @@ Service::handleUpload(const JsonValue& request,
     bool admitted = submitAsync(
         [this, trace, trace_digest, config, flush,
          name]() -> std::string {
+            // A coordinator has no pool; its uploads start their own.
             sim::BatchOptions options;
             options.engine = config_.engine;
             options.jobs = executorThreads_;
+            options.pool = pool_.get();
             Clock::time_point start = Clock::now();
             sim::BatchOutcome batch = sim::runBatch(
                 {{trace.get(), config, flush}}, options);
@@ -1186,13 +1196,17 @@ Service::handleShutdown(const std::string& request_id)
 unsigned
 Service::retryAfterMillis(double scale) const
 {
+    // The scheduler threads drain the queue side by side, so the
+    // jobs ahead clear in ⌈depth / schedulers⌉ rounds of one job each.
     std::size_t depth = queueDepth();
+    std::size_t schedulers = schedulers_.size();
+    std::size_t rounds =
+        depth == 0 ? 1 : (depth + schedulers - 1) / schedulers;
     double p50_seconds = jobWall_.percentile(50.0);
     // With no completed jobs yet there is no wall-time signal; a
     // fixed middle-of-the-clamp guess beats advertising the minimum.
     double hint_millis = p50_seconds > 0.0
-        ? static_cast<double>(depth == 0 ? 1 : depth) * p50_seconds *
-              1000.0
+        ? static_cast<double>(rounds) * p50_seconds * 1000.0
         : 200.0;
     if (scale > 0.0)
         hint_millis *= scale;
@@ -1443,13 +1457,7 @@ Service::statsPayload(const ServiceSnapshot& snap) const
     json.field("engine", sim::name(config_.engine));
     json.field("busy_seconds", snap.jobBusySeconds);
     json.field("grid_seconds", snap.jobGridSeconds);
-    double capacity_seconds =
-        snap.jobGridSeconds * executorThreads_;
-    json.field("utilization",
-               capacity_seconds > 0.0
-                   ? std::min(1.0,
-                              snap.jobBusySeconds / capacity_seconds)
-                   : 0.0);
+    json.field("utilization", snap.poolUtilization);
     json.beginObject("wall_seconds");
     json.field("p50", snap.jobWallP50Seconds);
     json.field("p90", snap.jobWallP90Seconds);

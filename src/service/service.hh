@@ -14,11 +14,14 @@
  *    when ServiceConfig::storeDir is set, a persistent ResultStore
  *    underneath it, so results survive restarts and are shared with
  *    `jcache-sweep --incremental`;
- *  - a bounded job queue drained by one scheduler thread that hands
- *    each simulation to the unified engine API (sim::runBatch) — the
- *    queue bounds backlog (overload answers `busy` immediately
- *    instead of accumulating latency), while the engine keeps every
- *    grid deterministic and parallel (one-pass by default; jcached
+ *  - a bounded job queue drained by `--jobs` scheduler threads, each
+ *    handing one simulation at a time to the unified engine API
+ *    (sim::runBatch) on one WorkerPool of `--jobs` threads that
+ *    lives as long as the service — the queue bounds backlog
+ *    (overload answers `busy` immediately instead of accumulating
+ *    latency), jobs run side by side without ever running more than
+ *    `--jobs` passes at once, and the engine keeps every grid
+ *    deterministic and parallel (one-pass by default; jcached
  *    --engine percell selects the reference path).
  *
  * Request/response schema is documented in docs/SERVICE.md; every
@@ -105,6 +108,9 @@ struct ServiceSnapshot
     std::uint64_t jobsExecuted = 0;
     double jobBusySeconds = 0.0;
     double jobGridSeconds = 0.0;
+
+    /** The worker pool's utilization; 0 on a coordinator (no pool). */
+    double poolUtilization = 0.0;
     std::size_t queueDepth = 0;
     std::size_t queueCapacity = 0;
     ResultCacheStats cache;
@@ -150,7 +156,11 @@ struct ServiceSnapshot
 /** Tunables of one Service instance. */
 struct ServiceConfig
 {
-    /** Executor width per job; 0 selects sim::defaultJobs(). */
+    /**
+     * Threads of the shared worker pool, and of the scheduler threads
+     * that drain the queue into it; 0 selects sim::defaultJobs().  A
+     * coordinator starts no pool and one scheduler thread.
+     */
     unsigned executorThreads = 0;
 
     /** Replay engine simulation jobs run on (jcached --engine). */
@@ -235,15 +245,16 @@ struct ServiceConfig
  * Transport-independent request processor.
  *
  * handle() is safe to call from any number of connection threads
- * concurrently; simulation jobs are serialized through the scheduler
- * thread and parallelized inside each job by the executor.
+ * concurrently; up to executorThreads simulation jobs run at once,
+ * one per scheduler thread, and their passes share one worker pool,
+ * oldest job first.
  */
 class Service
 {
   public:
     explicit Service(const ServiceConfig& config = {});
 
-    /** Drains the scheduler thread. */
+    /** Drains the queue, then joins the scheduler threads and pool. */
     ~Service();
 
     Service(const Service&) = delete;
@@ -264,7 +275,7 @@ class Service
      * Process one request document without blocking the caller on
      * simulation work.  Requests answered from the cache (or that
      * fail validation) invoke `done` before returning; queued jobs
-     * invoke it later from the scheduler thread.  The reactor calls
+     * invoke it later from a scheduler thread.  The reactor calls
      * this so one event-loop thread can keep every connection moving
      * while jobs drain through the bounded queue.
      */
@@ -366,7 +377,7 @@ class Service
      * Push `work` through the bounded queue.  Returns false when the
      * job was shed at admission (queue full or injected overload) —
      * `complete` is then never invoked and the caller answers busy.
-     * Otherwise `complete` fires exactly once from the scheduler
+     * Otherwise `complete` fires exactly once from a scheduler
      * thread (after the job ran, shed at dequeue, or failed).
      * `deadline` (zero = none) rides along for the expiry check.
      */
@@ -378,7 +389,7 @@ class Service
     /**
      * Run one grid of cells: locally through sim::runBatch, or — on
      * a coordinator — scattered over the shard pool (which forwards
-     * `ref` on the wire).  Called from the scheduler thread inside a
+     * `ref` on the wire).  Called from a scheduler thread inside a
      * job's work; throws FatalError (or ShardError) on failure.
      */
     std::vector<sim::RunResult> executeCells(
@@ -395,7 +406,8 @@ class Service
     sim::ResolvedTrace resolveRef(const sim::TraceRef& ref);
 
     /**
-     * Back-off hint for a shed job, in milliseconds: queue depth
+     * Back-off hint for a shed job, in milliseconds: ⌈queue depth /
+     * scheduler threads⌉ (the rounds of jobs ahead, at least one)
      * times the median job wall time, scaled by `scale` (the CoDel
      * control law passes 1/sqrt(dropCount)), jittered ±25% from a
      * seeded deterministic sequence, clamped to [50, 5000].
@@ -466,7 +478,6 @@ class Service
     mutable std::mutex queue_mutex_;
     std::condition_variable queue_cv_;
     std::deque<Job> queue_;
-    std::thread scheduler_;
 
     mutable std::mutex stats_mutex_;
     std::uint64_t requests_ = 0;
@@ -511,6 +522,12 @@ class Service
      */
     telemetry::Histogram queueWait_;
     std::chrono::steady_clock::time_point start_;
+
+    /** Workers every local job's passes run on; null on a coordinator. */
+    std::unique_ptr<sim::WorkerPool> pool_;
+
+    /** Drain queue_ into pool_ (one on a coordinator). */
+    std::vector<std::thread> schedulers_;
 };
 
 } // namespace jcache::service

@@ -179,7 +179,7 @@ runBatchPerCell(const std::vector<Request>& requests,
     outcome.results.resize(requests.size());
     std::mutex complete_mutex;
 
-    ParallelExecutor executor(options.jobs);
+    ParallelExecutor executor(options.jobs, options.pool);
     outcome.report = executor.runTasks(
         requests.size(), [&](std::size_t i) {
             const Request& request = requests[i];
@@ -236,9 +236,9 @@ runBatchOnePass(const std::vector<Request>& requests,
         dropInvalidLanes(group, outcome.report.failures);
         sortLanes(group);
     }
-    const unsigned jobs =
-        options.jobs == 0 ? defaultJobs() : options.jobs;
-    const std::vector<Pass> passes = planPasses(groups, jobs);
+    ParallelExecutor executor(options.jobs, options.pool);
+    const std::vector<Pass> passes =
+        planPasses(groups, executor.threads());
 
     outcome.results.assign(requests.size(), Result{});
     std::vector<JobTiming> timings(requests.size());
@@ -246,7 +246,6 @@ runBatchOnePass(const std::vector<Request>& requests,
 
     std::mutex complete_mutex;
 
-    ParallelExecutor executor(options.jobs);
     SweepReport pass_report = executor.runTasks(
         passes.size(), [&](std::size_t pi) -> Count {
             const Pass& pass = passes[pi];

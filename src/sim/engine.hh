@@ -107,6 +107,13 @@ struct BatchOptions
     /** Worker threads; 0 selects defaultJobs(). */
     unsigned jobs = 0;
 
+    /**
+     * Workers shared with other batches running at once (jcached's
+     * pool), which then replace `jobs`; null starts `jobs` workers
+     * for this call.  Must not be the pool the caller runs on.
+     */
+    WorkerPool* pool = nullptr;
+
     /** Optional per-request completion callback. */
     CompletionFn onComplete = nullptr;
 };

@@ -158,8 +158,113 @@ SweepReport::summary() const
     return oss.str();
 }
 
-ParallelExecutor::ParallelExecutor(unsigned threads)
-    : threads_(threads == 0 ? defaultJobs() : threads)
+WorkerPool::WorkerPool(unsigned threads)
+{
+    const unsigned n = threads == 0 ? defaultJobs() : threads;
+    workers_.reserve(n);
+    for (unsigned t = 0; t < n; ++t)
+        workers_.emplace_back([this] { workerLoop(); });
+}
+
+WorkerPool::~WorkerPool()
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        stopping_ = true;
+    }
+    workCv_.notify_all();
+    for (std::thread& t : workers_)
+        t.join();
+}
+
+void
+WorkerPool::run(std::size_t count,
+                const std::function<void(std::size_t)>& task)
+{
+    if (count == 0)
+        return;
+    Grid grid;
+    grid.task = &task;
+    grid.count = count;
+    std::unique_lock<std::mutex> lock(mutex_);
+    grid.submitted = Clock::now();
+    if (inFlight_++ == 0)
+        heldSince_ = grid.submitted;
+    open_.push_back(&grid);
+    if (count == 1)
+        workCv_.notify_one();
+    else
+        workCv_.notify_all();
+    doneCv_.wait(lock, [&] { return grid.finished == grid.count; });
+}
+
+void
+WorkerPool::workerLoop()
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+        workCv_.wait(lock,
+                     [this] { return stopping_ || !open_.empty(); });
+        if (open_.empty())
+            return;
+        Grid& grid = *open_.front();
+        const std::size_t i = grid.next++;
+        if (grid.next == grid.count)
+            open_.pop_front();
+        lock.unlock();
+
+        // The grid stays alive until its last task is counted
+        // finished below, so it may be read without the lock.
+        const Clock::time_point start = Clock::now();
+        if (telemetry::armed()) {
+            static telemetry::Histogram& wait =
+                telemetry::Registry::instance().histogram(
+                    "jcache_pool_wait_seconds",
+                    "Wait of one pool task, grid submission to start "
+                    "on a worker");
+            wait.observe(
+                std::chrono::duration<double>(start - grid.submitted)
+                    .count());
+        }
+        (*grid.task)(i);
+        const double busy = secondsSince(start);
+
+        lock.lock();
+        busySeconds_ += busy;
+        if (++grid.finished == grid.count) {
+            if (--inFlight_ == 0)
+                heldSeconds_ += secondsSince(heldSince_);
+            doneCv_.notify_all();
+        }
+    }
+}
+
+std::size_t
+WorkerPool::pending() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::size_t n = 0;
+    for (const Grid* grid : open_)
+        n += grid->count - grid->next;
+    return n;
+}
+
+double
+WorkerPool::utilization() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    double held = heldSeconds_;
+    if (inFlight_ > 0)
+        held += secondsSince(heldSince_);
+    if (held <= 0.0)
+        return 0.0;
+    return std::min(1.0, busySeconds_ / (threads() * held));
+}
+
+ParallelExecutor::ParallelExecutor(unsigned threads, WorkerPool* pool)
+    : threads_(pool ? pool->threads()
+                    : threads == 0 ? defaultJobs() : threads),
+      pool_(pool)
 {
 }
 
@@ -182,63 +287,51 @@ ParallelExecutor::runTasks(
     grid_span.arg("threads", std::to_string(workers));
 
     Clock::time_point grid_start = Clock::now();
-    std::atomic<std::size_t> cursor{0};
     std::mutex failures_mutex;
 
-    auto worker = [&]() {
-        for (;;) {
-            std::size_t i = cursor.fetch_add(1);
-            if (i >= count)
-                return;
-            telemetry::Span cell_span("sweep.cell", "sim");
-            cell_span.arg("index", std::to_string(i));
-            Clock::time_point job_start = Clock::now();
-            Count instructions = 0;
-            bool failed = false;
-            // A throwing task must cost only its own cell; an escaped
-            // exception on a pool thread would terminate the process.
-            try {
-                instructions = task(i);
-            } catch (const std::exception& e) {
-                failed = true;
-                std::lock_guard<std::mutex> lock(failures_mutex);
-                report.failures.push_back({i, e.what()});
-            } catch (...) {
-                failed = true;
-                std::lock_guard<std::mutex> lock(failures_mutex);
-                report.failures.push_back({i, "unknown error"});
-            }
-            report.timings[i].wallSeconds = secondsSince(job_start);
-            report.timings[i].instructions = instructions;
-            if (telemetry::armed()) {
-                auto& reg = telemetry::Registry::instance();
-                static telemetry::Counter& cells = reg.counter(
-                    "jcache_sweep_cells_total",
-                    "Sweep grid cells executed");
-                static telemetry::Counter& cell_failures = reg.counter(
-                    "jcache_sweep_cell_failures_total",
-                    "Sweep grid cells whose task threw");
-                static telemetry::Histogram& cell_seconds =
-                    reg.histogram("jcache_sweep_cell_seconds",
-                                  "Wall time of one sweep grid cell");
-                cells.inc();
-                if (failed)
-                    cell_failures.inc();
-                cell_seconds.observe(report.timings[i].wallSeconds);
-            }
+    auto cell = [&](std::size_t i) {
+        telemetry::Span cell_span("sweep.cell", "sim");
+        cell_span.arg("index", std::to_string(i));
+        Clock::time_point job_start = Clock::now();
+        Count instructions = 0;
+        bool failed = false;
+        // A throwing task must cost only its own cell; an escaped
+        // exception on a pool thread would terminate the process.
+        try {
+            instructions = task(i);
+        } catch (const std::exception& e) {
+            failed = true;
+            std::lock_guard<std::mutex> lock(failures_mutex);
+            report.failures.push_back({i, e.what()});
+        } catch (...) {
+            failed = true;
+            std::lock_guard<std::mutex> lock(failures_mutex);
+            report.failures.push_back({i, "unknown error"});
+        }
+        report.timings[i].wallSeconds = secondsSince(job_start);
+        report.timings[i].instructions = instructions;
+        if (telemetry::armed()) {
+            auto& reg = telemetry::Registry::instance();
+            static telemetry::Counter& cells = reg.counter(
+                "jcache_sweep_cells_total",
+                "Sweep grid cells executed");
+            static telemetry::Counter& cell_failures = reg.counter(
+                "jcache_sweep_cell_failures_total",
+                "Sweep grid cells whose task threw");
+            static telemetry::Histogram& cell_seconds =
+                reg.histogram("jcache_sweep_cell_seconds",
+                              "Wall time of one sweep grid cell");
+            cells.inc();
+            if (failed)
+                cell_failures.inc();
+            cell_seconds.observe(report.timings[i].wallSeconds);
         }
     };
 
-    if (workers <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (unsigned t = 0; t < workers; ++t)
-            pool.emplace_back(worker);
-        for (std::thread& t : pool)
-            t.join();
-    }
+    if (pool_)
+        pool_->run(count, cell);
+    else if (count > 0)
+        WorkerPool(workers).run(count, cell);
     report.wallSeconds = secondsSince(grid_start);
     // Completion order is scheduling-dependent; reporting is not.
     std::sort(report.failures.begin(), report.failures.end(),

@@ -5,11 +5,12 @@
  * Every figure in the paper is a sweep over {cache size x line size x
  * write policy x benchmark}, and each point is an independent replay:
  * the grid is embarrassingly parallel.  ParallelExecutor fans a grid
- * of tasks out over a fixed-size std::thread pool; tasks write their
- * results into per-index slots — keyed by grid index, never by
- * completion order — so an N-thread sweep is bit-for-bit identical to
- * a 1-thread sweep.  The engine (sim/engine.hh) drives it for both
- * the per-cell and the one-pass batch paths.
+ * of tasks out over a WorkerPool; tasks write their results into
+ * per-index slots — keyed by grid index, never by completion order —
+ * so an N-thread sweep is bit-for-bit identical to a 1-thread sweep.
+ * The engine (sim/engine.hh) drives it for both the per-cell and the
+ * one-pass batch paths.  A pool lives for one call, or — in jcached —
+ * for the whole process, shared by every job that runs at once.
  *
  * Observability rides along: every run produces a SweepReport with
  * per-job wall time, replayed-instruction throughput and thread
@@ -19,10 +20,15 @@
 #ifndef JCACHE_SIM_PARALLEL_HH
 #define JCACHE_SIM_PARALLEL_HH
 
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <functional>
+#include <mutex>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/types.hh"
@@ -113,19 +119,105 @@ struct SweepReport
 };
 
 /**
- * Fixed-size thread pool over a sweep grid.
+ * A fixed set of worker threads shared by every grid submitted to it.
  *
- * Workers claim tasks from a shared atomic cursor and write each
- * result into its grid slot, so output order is independent of
- * scheduling.  The pool is sized once at construction; runTasks() may
- * be called repeatedly and spins the pool up per call (replays are
+ * run() blocks its caller until each index of its grid has run once
+ * on a pool worker, and any number of threads may call it at once.
+ * An idle worker always takes the next index of the oldest grid that
+ * still has indices to hand out, so a one-task grid submitted beside
+ * a large one starts on the first worker the large one frees, and
+ * the pool never runs more than threads() tasks at once.
+ *
+ * A task must not throw (ParallelExecutor catches for it), and must
+ * not submit to the pool it runs on: once every worker waits in such
+ * a task, no worker is left to run the inner grid.
+ */
+class WorkerPool
+{
+  public:
+    /** Start the workers. @param threads 0 selects defaultJobs(). */
+    explicit WorkerPool(unsigned threads);
+
+    /** Joins the workers; no run() may still be in flight. */
+    ~WorkerPool();
+
+    WorkerPool(const WorkerPool&) = delete;
+    WorkerPool& operator=(const WorkerPool&) = delete;
+
+    /** Worker thread count. */
+    unsigned threads() const
+    {
+        return static_cast<unsigned>(workers_.size());
+    }
+
+    /**
+     * Invoke task(i) for i in [0, count) on the workers, and return
+     * once every call has returned.
+     */
+    void run(std::size_t count,
+             const std::function<void(std::size_t)>& task);
+
+    /** Tasks submitted and not yet started, over all grids. */
+    std::size_t pending() const;
+
+    /**
+     * Fraction of the workers' capacity spent in tasks while the pool
+     * held work, in [0, 1]: seconds in finished tasks over threads()
+     * × the seconds during which some grid was in flight.  0 before
+     * the first grid.
+     */
+    double utilization() const;
+
+  private:
+    using Clock = std::chrono::steady_clock;
+
+    /** One run() call's grid; lives on the submitter's stack. */
+    struct Grid
+    {
+        const std::function<void(std::size_t)>* task = nullptr;
+        std::size_t count = 0;
+        std::size_t next = 0;      //!< next index to hand out
+        std::size_t finished = 0;  //!< tasks that have returned
+        Clock::time_point submitted{};
+    };
+
+    void workerLoop();
+
+    mutable std::mutex mutex_;
+    std::condition_variable workCv_;  //!< workers wait for an index
+    std::condition_variable doneCv_;  //!< submitters wait for a grid
+
+    /** Grids with indices left to hand out, oldest first. */
+    std::deque<Grid*> open_;
+    std::size_t inFlight_ = 0;       //!< grids submitted, not finished
+    Clock::time_point heldSince_{};  //!< when inFlight_ last left 0
+    double heldSeconds_ = 0.0;       //!< closed in-flight intervals
+    double busySeconds_ = 0.0;       //!< time in finished tasks
+    bool stopping_ = false;
+
+    std::vector<std::thread> workers_;
+};
+
+/**
+ * Runs a sweep grid on a WorkerPool.
+ *
+ * Workers claim tasks in index order and write each result into its
+ * grid slot, so output order is independent of scheduling.  Without
+ * a shared pool, runTasks() starts a pool of min(threads, grid size)
+ * workers for the call and joins it before returning (replays are
  * milliseconds to seconds, thread start-up is microseconds).
  */
 class ParallelExecutor
 {
   public:
-    /** @param threads worker count; 0 selects defaultJobs(). */
-    explicit ParallelExecutor(unsigned threads = 0);
+    /**
+     * @param threads worker count; 0 selects defaultJobs().
+     * @param pool workers shared with other callers, which then
+     *        replace `threads`; null starts a pool per call.  Must
+     *        outlive the executor.
+     */
+    explicit ParallelExecutor(unsigned threads = 0,
+                              WorkerPool* pool = nullptr);
 
     /** Configured worker count (before clamping to a grid's size). */
     unsigned threads() const { return threads_; }
@@ -145,6 +237,7 @@ class ParallelExecutor
 
   private:
     unsigned threads_;
+    WorkerPool* pool_;
 };
 
 } // namespace jcache::sim

@@ -6,6 +6,8 @@
 #
 #   1. `jcache-client run`   output is byte-identical to jcache-sim
 #   2. `jcache-client sweep` output is byte-identical to jcache-sweep
+#   2a. a run and a sweep sent at once from two clients overlap on the
+#       daemon and both stay byte-identical to the offline tools
 #   2b. an uploaded interchange trace renders byte-identically to
 #       jcache-sim replaying the same file offline
 #   3. a repeated run is reported as a result-cache hit
@@ -76,6 +78,25 @@ echo "service_smoke: run output byte-identical"
 cmp "$WORKDIR/sweep_client.txt" "$WORKDIR/sweep_offline.txt" \
     || fail "sweep output differs from jcache-sweep"
 echo "service_smoke: sweep output byte-identical"
+
+# 2a. A run and a sweep from two clients at once: the two jobs run side
+#     by side on the daemon's scheduler threads and shared worker pool.
+"$CLIENT" --port "$PORT" run grr --size 8 > "$WORKDIR/pair_run.txt" &
+PAIR_RUN_PID=$!
+"$CLIENT" --port "$PORT" sweep met --axis size \
+    > "$WORKDIR/pair_sweep.txt" &
+PAIR_SWEEP_PID=$!
+wait "$PAIR_RUN_PID" || fail "concurrent client run"
+wait "$PAIR_SWEEP_PID" || fail "concurrent client sweep"
+"$SIM" grr --size 8 > "$WORKDIR/pair_run_offline.txt" \
+    || fail "offline sim (concurrent pair)"
+"$SWEEP" met --axis size > "$WORKDIR/pair_sweep_offline.txt" \
+    || fail "offline sweep (concurrent pair)"
+cmp "$WORKDIR/pair_run.txt" "$WORKDIR/pair_run_offline.txt" \
+    || fail "concurrent run output differs from jcache-sim"
+cmp "$WORKDIR/pair_sweep.txt" "$WORKDIR/pair_sweep_offline.txt" \
+    || fail "concurrent sweep output differs from jcache-sweep"
+echo "service_smoke: concurrent run and sweep byte-identical"
 
 # 2b. Upload an external text-interchange trace: the daemon's reply
 #     must render byte-identically to jcache-sim on the same file.
@@ -177,6 +198,8 @@ grep -q 'jcache_store_misses_total' "$WORKDIR/metrics2.txt" \
     || fail "scrape lacks jcache_store_misses_total"
 grep -q 'jcache_store_bytes_total' "$WORKDIR/metrics2.txt" \
     || fail "scrape lacks jcache_store_bytes_total"
+grep -q 'jcache_pool_wait_seconds' "$WORKDIR/metrics2.txt" \
+    || fail "scrape lacks jcache_pool_wait_seconds"
 echo "service_smoke: store gauges and counters exposed"
 
 # 6. Graceful in-band shutdown.

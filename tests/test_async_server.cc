@@ -159,6 +159,56 @@ TEST_P(AsyncServerTest, PipelinedRequestsAnswerInOrder)
         EXPECT_EQ(ids[i + 1], "p" + std::to_string(i));
 }
 
+TEST_P(AsyncServerTest, OverlappingJobsStillAnswerInRequestOrder)
+{
+    // A sweep whose job sleeps 300ms (service.delay=n1 fires on the
+    // first dequeue), then a cheap run pipelined behind it on the
+    // same connection.  The fixture's second scheduler thread runs
+    // the run to completion while the sweep sleeps; the reactor must
+    // hold its answer until the sweep's has gone out.
+    fault::configure("service.delay=n1");
+    net::Socket socket = connect();
+    ASSERT_EQ(net::writeFrame(
+                  socket,
+                  "{\"type\": \"sweep\", \"workload\": \"ccom\","
+                  " \"axis\": \"size\", \"request_id\": \"sweep\"}"),
+              net::FrameStatus::Ok);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    ASSERT_EQ(net::writeFrame(
+                  socket,
+                  "{\"type\": \"run\", \"workload\": \"ccom\","
+                  " \"config\": {\"size_bytes\": 4096},"
+                  " \"request_id\": \"run\"}"),
+              net::FrameStatus::Ok);
+
+    // The run finishes first: the result cache holds exactly one
+    // entry (the run's) while nothing has reached the client yet.
+    bool run_done = false;
+    for (int i = 0; i < 150 && !run_done; ++i) {
+        JsonValue stats = exchange("{\"type\": \"stats\"}");
+        run_done = stats.get("payload").get("result_cache").getNumber(
+                       "entries", 0) >= 1.0;
+        if (!run_done)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_TRUE(run_done);
+    std::string response;
+    socket.setTimeout(20);
+    EXPECT_EQ(net::readFrame(socket, response), net::FrameStatus::Idle)
+        << "answered before the sweep: " << response;
+    socket.setTimeout(10000);
+
+    std::vector<std::string> ids;
+    for (int i = 0; i < 2; ++i) {
+        ASSERT_EQ(net::readFrame(socket, response),
+                  net::FrameStatus::Ok);
+        JsonValue v = JsonValue::parse(response);
+        EXPECT_TRUE(v.getBool("ok", false)) << v.getString("error");
+        ids.push_back(v.getString("request_id"));
+    }
+    EXPECT_EQ(ids, (std::vector<std::string>{"sweep", "run"}));
+}
+
 TEST_P(AsyncServerTest, ManyPipelinedPingsOnOneConnection)
 {
     constexpr int kCount = 64;

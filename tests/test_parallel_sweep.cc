@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -265,6 +267,210 @@ TEST(ParallelExecutor, AllSucceededOnCleanGrid)
         4, [](std::size_t) { return Count{1}; });
     EXPECT_TRUE(report.allSucceeded());
     EXPECT_EQ(report.summary().find("FAILED"), std::string::npos);
+}
+
+/** Spin (politely) until `ready` holds. */
+template <typename Pred>
+void
+waitFor(Pred ready)
+{
+    while (!ready())
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+}
+
+TEST(WorkerPool, GridsFromFourThreadsEachRunEveryIndexOnce)
+{
+    constexpr std::size_t kGrid = 250;
+    WorkerPool pool(3);
+    ASSERT_EQ(pool.threads(), 3u);
+    std::vector<std::atomic<int>> visits(4 * kGrid);
+    std::vector<std::thread> submitters;
+    for (std::size_t g = 0; g < 4; ++g)
+        submitters.emplace_back([&, g] {
+            pool.run(kGrid, [&, g](std::size_t i) {
+                visits[g * kGrid + i].fetch_add(1);
+            });
+        });
+    for (std::thread& t : submitters)
+        t.join();
+    for (std::size_t k = 0; k < visits.size(); ++k)
+        EXPECT_EQ(visits[k].load(), 1) << "grid " << k / kGrid
+                                       << " index " << k % kGrid;
+    EXPECT_EQ(pool.pending(), 0u);
+}
+
+TEST(WorkerPool, NeverRunsMoreTasksThanThreads)
+{
+    WorkerPool pool(2);
+    std::atomic<int> in_flight{0};
+    std::atomic<int> peak{0};
+    auto task = [&](std::size_t) {
+        int now = in_flight.fetch_add(1) + 1;
+        int seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        in_flight.fetch_sub(1);
+    };
+    std::vector<std::thread> submitters;
+    for (int g = 0; g < 4; ++g)
+        submitters.emplace_back([&] { pool.run(6, task); });
+    for (std::thread& t : submitters)
+        t.join();
+    EXPECT_EQ(peak.load(), 2);
+}
+
+TEST(WorkerPool, OneWorkerFinishesTheOlderGridFirst)
+{
+    // The first grid's task 0 holds the only worker until the second
+    // grid is queued behind the first grid's other three tasks.
+    WorkerPool pool(1);
+    std::mutex order_mutex;
+    std::vector<int> order;
+    std::atomic<bool> release{false};
+    auto record = [&](int tag) {
+        std::lock_guard<std::mutex> lock(order_mutex);
+        order.push_back(tag);
+    };
+    std::thread first([&] {
+        pool.run(4, [&](std::size_t i) {
+            if (i == 0)
+                waitFor([&] { return release.load(); });
+            record(static_cast<int>(i));
+        });
+    });
+    waitFor([&] { return pool.pending() == 3; });
+    std::thread second([&] {
+        pool.run(2, [&](std::size_t i) {
+            record(10 + static_cast<int>(i));
+        });
+    });
+    waitFor([&] { return pool.pending() == 5; });
+    release.store(true);
+    first.join();
+    second.join();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 10, 11}));
+}
+
+TEST(WorkerPool, PoolWaitRecordsTheTimeAGridWaitedForAWorker)
+{
+    telemetry::Histogram& wait =
+        telemetry::Registry::instance().histogram(
+            "jcache_pool_wait_seconds",
+            "Wait of one pool task, grid submission to start on a "
+            "worker");
+    const bool was_armed = telemetry::armed();
+    telemetry::setArmed(true);
+    const std::uint64_t count_before = wait.count();
+    const double sum_before = wait.sum();
+
+    WorkerPool pool(1);
+    std::atomic<bool> holding{false};
+    std::atomic<bool> release{false};
+    std::thread first([&] {
+        pool.run(1, [&](std::size_t) {
+            holding.store(true);
+            waitFor([&] { return release.load(); });
+        });
+    });
+    waitFor([&] { return holding.load(); });
+    std::thread second([&] { pool.run(1, [](std::size_t) {}); });
+    waitFor([&] { return pool.pending() == 1; });
+    // The second grid is queued: it waits out the rest of the hold.
+    const auto hold_start = std::chrono::steady_clock::now();
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    const double hold = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() -
+                            hold_start)
+                            .count();
+    release.store(true);
+    first.join();
+    second.join();
+    telemetry::setArmed(was_armed);
+
+    EXPECT_EQ(wait.count() - count_before, 2u);
+    EXPECT_GE(wait.sum() - sum_before, hold);
+}
+
+TEST(WorkerPool, UtilizationCountsOverlappingGridsOnce)
+{
+    // Two one-task grids that overlap on two workers keep the pool
+    // busy: close to 1.0, where a per-grid sum would read 0.5.
+    WorkerPool pool(2);
+    EXPECT_DOUBLE_EQ(pool.utilization(), 0.0);
+    std::atomic<int> started{0};
+    auto task = [&](std::size_t) {
+        started.fetch_add(1);
+        waitFor([&] { return started.load() == 2; });
+        std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    };
+    std::thread a([&] { pool.run(1, task); });
+    std::thread b([&] { pool.run(1, task); });
+    a.join();
+    b.join();
+    EXPECT_GT(pool.utilization(), 0.75);
+    EXPECT_LE(pool.utilization(), 1.0);
+}
+
+TEST(WorkerPool, ThrowingTaskFailsOnlyItsCellOnASharedPool)
+{
+    WorkerPool pool(2);
+    ParallelExecutor executor(8, &pool);
+    EXPECT_EQ(executor.threads(), 2u);
+    std::vector<std::atomic<int>> visits(6);
+    SweepReport report = executor.runTasks(6, [&](std::size_t i) {
+        visits[i].fetch_add(1);
+        if (i == 3)
+            throw std::runtime_error("boom at 3");
+        return Count{10};
+    });
+    for (const auto& v : visits)
+        EXPECT_EQ(v.load(), 1);
+    ASSERT_EQ(report.failures.size(), 1u);
+    EXPECT_EQ(report.failures[0].index, 3u);
+    EXPECT_EQ(report.failures[0].message, "boom at 3");
+    EXPECT_EQ(report.totalInstructions(), 50u);
+
+    // The pool outlives the failure and runs the next grid.
+    SweepReport next = executor.runTasks(
+        3, [](std::size_t) { return Count{1}; });
+    EXPECT_TRUE(next.allSucceeded());
+    EXPECT_EQ(next.totalInstructions(), 3u);
+}
+
+TEST(WorkerPool, BatchesSharingAPoolMatchTheirOwnPools)
+{
+    // Two one-pass batches run at once on one two-worker pool, as
+    // jcached runs jobs; each matches the same batch on a pool of
+    // its own, cell for cell.
+    std::vector<trace::Trace> traces;
+    traces.push_back(mixedTrace("left", 3));
+    traces.push_back(mixedTrace("right", 9));
+    const std::vector<Request> grid =
+        matrixGrid(traces, policyMatrixConfigs());
+    BatchOptions own;
+    own.jobs = 2;
+    const BatchOutcome reference = runBatch(grid, own);
+    ASSERT_TRUE(reference.ok());
+
+    WorkerPool pool(2);
+    BatchOptions shared;
+    shared.pool = &pool;
+    std::vector<BatchOutcome> outcomes(2);
+    std::vector<std::thread> jobs;
+    for (std::size_t j = 0; j < outcomes.size(); ++j)
+        jobs.emplace_back(
+            [&, j] { outcomes[j] = runBatch(grid, shared); });
+    for (std::thread& t : jobs)
+        t.join();
+    for (const BatchOutcome& outcome : outcomes) {
+        ASSERT_TRUE(outcome.ok());
+        EXPECT_EQ(outcome.report.threads, 2u);
+        for (std::size_t i = 0; i < grid.size(); ++i)
+            EXPECT_EQ(resultText(outcome.results[i]),
+                      resultText(reference.results[i]))
+                << "request " << i;
+    }
 }
 
 TEST(BatchCompletion, SeesEveryRequestOnceWithItsResult)

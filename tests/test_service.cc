@@ -12,7 +12,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -803,6 +805,60 @@ TEST(Service, CodelShedsTheMiddleOfASustainedBacklog)
                   .get("wait_seconds")
                   .getNumber("max", 0),
               0.0);
+}
+
+TEST(Service, ARunBesideASlowJobAnswersWithoutWaitingForIt)
+{
+    // service.delay=n1 sleeps 300ms in the first dequeued job only.
+    // With two scheduler threads the other run is dequeued beside
+    // it, runs on the free pool worker and answers long before the
+    // delay ends; one scheduler would queue it behind the sleeper.
+    // Both runs replay a small uploaded trace, so even a sanitizer
+    // build replays it in far less than the delay.
+    ServiceConfig config = testConfig();
+    config.executorThreads = 2;
+    Service service(config);
+    JsonValue uploaded =
+        parseResponse(service.handle(uploadRequest(kMiniTrace)));
+    ASSERT_TRUE(uploaded.getBool("ok", false))
+        << uploaded.getString("error");
+    const std::string ref =
+        "digest:" + uploaded.get("payload").getString("trace_digest");
+    jcache::fault::configure("service.delay=n1");
+
+    using StatClock = std::chrono::steady_clock;
+    std::mutex mutex;
+    std::condition_variable answered;
+    std::vector<double> elapsed_ms;
+    std::vector<std::string> responses;
+    StatClock::time_point submitted = StatClock::now();
+    for (unsigned kb : {4u, 8u}) {
+        service.handleAsync(
+            "{\"type\": \"run\", \"trace_ref\": \"" + ref +
+                "\", \"config\": {\"size_bytes\": " +
+                std::to_string(kb * 1024) + "}}",
+            [&](std::string response) {
+                double ms = std::chrono::duration<double, std::milli>(
+                                StatClock::now() - submitted)
+                                .count();
+                std::lock_guard<std::mutex> lock(mutex);
+                elapsed_ms.push_back(ms);
+                responses.push_back(std::move(response));
+                answered.notify_one();
+            });
+    }
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        answered.wait(lock, [&] { return responses.size() == 2; });
+    }
+    jcache::fault::reset();
+
+    for (const std::string& text : responses) {
+        JsonValue v = parseResponse(text);
+        EXPECT_TRUE(v.getBool("ok", false)) << v.getString("error");
+    }
+    EXPECT_LT(elapsed_ms[0], 150.0);
+    EXPECT_GE(elapsed_ms[1], 300.0);
 }
 
 TEST(Service, HealthAnswersWhileTheQueueIsSaturated)
