@@ -475,7 +475,8 @@ Service::executeCells(const sim::ResolvedTrace& resolved,
     recordJobTiming(
         std::chrono::duration<double>(Clock::now() - start).count(),
         batch.report);
-    fatalIf(!batch.ok(), describeFailures(batch.report));
+    if (!batch.ok())
+        fatal(describeFailures(batch.report));
     return std::move(batch.results);
 }
 
@@ -1048,7 +1049,8 @@ Service::handleUpload(const JsonValue& request,
                 std::chrono::duration<double>(Clock::now() - start)
                     .count(),
                 batch.report);
-            fatalIf(!batch.ok(), describeFailures(batch.report));
+            if (!batch.ok())
+                fatal(describeFailures(batch.report));
 
             std::ostringstream oss;
             stats::JsonWriter json(oss);

@@ -49,18 +49,28 @@ nameRefPath(const std::string& dir, const std::string& name)
     return dir + "/n" + util::fnv1aHex(name) + ".ref";
 }
 
-/** Share a registry-owned trace without copying or owning it. */
+/** Fill the name, digest and identity of `r`, which replays `t`. */
 ResolvedTrace
-wrapRegistry(const trace::Trace& t)
+withIdentity(ResolvedTrace r, const trace::Trace& t, std::string digest)
+{
+    r.name = t.name();
+    r.identity = trace::traceIdentity(t.name(), digest, t.size());
+    r.digest = std::move(digest);
+    return r;
+}
+
+/**
+ * Share a registry-owned trace without copying or owning it.
+ * `digest` is its contentDigest(), which the caller already holds.
+ */
+ResolvedTrace
+wrapRegistry(const trace::Trace& t, std::string digest)
 {
     ResolvedTrace r;
     r.trace = std::shared_ptr<const trace::Trace>(
         std::shared_ptr<const trace::Trace>(), &t);
     r.source = std::make_shared<trace::TraceReplaySource>(t);
-    r.name = t.name();
-    r.digest = trace::contentDigest(t);
-    r.identity = trace::traceIdentity(t);
-    return r;
+    return withIdentity(std::move(r), t, std::move(digest));
 }
 
 } // namespace
@@ -130,15 +140,19 @@ TraceRepository::TraceRepository(Config config)
 ResolvedTrace
 TraceRepository::wrapOwned(trace::Trace trace)
 {
+    std::string digest = trace::contentDigest(trace);
+    return wrapOwned(std::move(trace), std::move(digest));
+}
+
+ResolvedTrace
+TraceRepository::wrapOwned(trace::Trace trace, std::string digest)
+{
     ResolvedTrace r;
     auto owned =
         std::make_shared<const trace::Trace>(std::move(trace));
     r.trace = owned;
     r.source = std::make_shared<trace::TraceReplaySource>(*owned);
-    r.name = owned->name();
-    r.digest = trace::contentDigest(*owned);
-    r.identity = trace::traceIdentity(*owned);
-    return r;
+    return withIdentity(std::move(r), *owned, std::move(digest));
 }
 
 ResolvedTrace
@@ -175,7 +189,7 @@ TraceRepository::resolveName(const std::string& name)
 {
     if (config_.registry) {
         if (const trace::Trace* t = config_.registry->find(name))
-            return wrapRegistry(*t);
+            return wrapRegistry(*t, trace::contentDigest(*t));
     }
 
     // A replay-cache directory may already hold this trace from an
@@ -203,12 +217,13 @@ TraceRepository::resolveName(const std::string& name)
             throw UnknownTraceError("unknown trace name: " + name);
         }
         trace::Trace t = workloads::generateTrace(*workload);
+        std::string digest = trace::contentDigest(t);
         if (!config_.cacheDir.empty()) {
-            trace::ensureReplayCache(t, config_.cacheDir);
+            trace::ensureReplayCache(t, digest, config_.cacheDir);
             util::atomicWriteFile(nameRefPath(config_.cacheDir, name),
-                                  trace::contentDigest(t));
+                                  digest);
         }
-        return wrapOwned(std::move(t));
+        return wrapOwned(std::move(t), std::move(digest));
     }
 
     throw UnknownTraceError("unknown trace name: " + name);
@@ -225,7 +240,8 @@ TraceRepository::resolveDigest(const std::string& digest)
         const std::vector<std::string>& digests = registryDigests();
         for (std::size_t i = 0; i < digests.size(); ++i)
             if (digests[i] == digest)
-                return wrapRegistry(config_.registry->traces()[i]);
+                return wrapRegistry(config_.registry->traces()[i],
+                                    digest);
     }
 
     if (!config_.cacheDir.empty() &&

@@ -217,8 +217,11 @@ class TraceRepository
     ResolvedTrace resolveName(const std::string& name);
     ResolvedTrace resolveDigest(const std::string& digest);
 
-    /** Wrap an owned in-memory trace (computes digest/identity). */
+    /** Wrap an owned in-memory trace, digesting its records once. */
     static ResolvedTrace wrapOwned(trace::Trace trace);
+
+    /** wrapOwned() for a trace whose contentDigest() is `digest`. */
+    static ResolvedTrace wrapOwned(trace::Trace trace, std::string digest);
 
     /** Open `<digest>.jcrc` as a mapped-only resolution. */
     ResolvedTrace openMapped(const std::string& digest) const;

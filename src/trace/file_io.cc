@@ -11,7 +11,9 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <vector>
 
+#include "trace/varint.hh"
 #include "util/fault.hh"
 #include "util/fs.hh"
 #include "util/logging.hh"
@@ -169,15 +171,37 @@ readTrace(std::istream& is)
     constexpr std::uint64_t kMaxBlindReserve = 1u << 20;
     trace.reserve(remaining >= 0 ? count
                                  : std::min(count, kMaxBlindReserve));
-    for (std::uint64_t i = 0; i < count; ++i) {
-        corruptIf(JCACHE_FAULT("trace.read.record"),
-                  "injected fault: short record " + std::to_string(i));
-        TraceRecord r;
-        r.addr = getLe<std::uint64_t>(is);
-        r.instrDelta = getLe<std::uint32_t>(is);
-        r.size = getLe<std::uint8_t>(is);
-        r.type = static_cast<RefType>(getLe<std::uint8_t>(is));
-        trace.append(r);
+
+    // The fault site is evaluated once per record, the short one too,
+    // and its message is built only when it fires.
+    auto faultAt = [](std::uint64_t i) {
+        if (JCACHE_FAULT("trace.read.record"))
+            corrupt("injected fault: short record " + std::to_string(i));
+    };
+    std::vector<unsigned char> chunk(
+        std::min<std::uint64_t>(count, kRawReadChunkRecords) *
+        kRawRecordBytes);
+    for (std::uint64_t i = 0; i < count;) {
+        const auto want = static_cast<std::size_t>(
+            std::min<std::uint64_t>(count - i, kRawReadChunkRecords));
+        is.read(reinterpret_cast<char*>(chunk.data()),
+                static_cast<std::streamsize>(want * kRawRecordBytes));
+        const std::size_t got =
+            static_cast<std::size_t>(is.gcount()) / kRawRecordBytes;
+        for (std::size_t k = 0; k < got; ++k, ++i) {
+            faultAt(i);
+            const unsigned char* p = chunk.data() + k * kRawRecordBytes;
+            TraceRecord r;
+            r.addr = loadLe<std::uint64_t>(p);
+            r.instrDelta = loadLe<std::uint32_t>(p + 8);
+            r.size = p[12];
+            r.type = static_cast<RefType>(p[13]);
+            trace.append(r);
+        }
+        if (got < want) {
+            faultAt(i);
+            corrupt("truncated");
+        }
     }
     validate(trace);
     return trace;

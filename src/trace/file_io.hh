@@ -15,6 +15,7 @@
 #define JCACHE_TRACE_FILE_IO_HH
 
 #include <array>
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 
@@ -32,6 +33,13 @@ inline constexpr std::uint32_t kTraceFormatVersion = 1;
 
 /** Upper bound on the workload name stored in a trace header. */
 inline constexpr std::uint32_t kMaxTraceNameBytes = 4096;
+
+/**
+ * Records readTrace() takes from the stream per istream::read.  A
+ * constant of the reader, not part of the format: any chunk size
+ * reads the same records and rejects the same files.
+ */
+inline constexpr std::size_t kRawReadChunkRecords = 4096;
 
 /**
  * Thrown by the trace readers for any input that is not a well-formed

@@ -116,18 +116,26 @@ exportTraceText(const Trace& trace, std::ostream& os)
     // record stream, so import -> export reproduces a file exactly.
     os << "# jcache trace text v1\n";
     char buf[64];
+    char* const end = buf + sizeof buf;
+    // Each number is followed by one separator, so it may fill the
+    // buffer up to one byte short of its end and no further.
+    auto number = [end](char* p, std::uint64_t value, int base) {
+        auto [next, ec] = std::to_chars(p, end - 1, value, base);
+        if (ec != std::errc())
+            panic("exportTraceText: a record outgrew its line buffer");
+        return next;
+    };
     for (const TraceRecord& r : trace) {
         char* p = buf;
         *p++ = r.type == RefType::Write ? 'w' : 'r';
         *p++ = ' ';
         *p++ = '0';
         *p++ = 'x';
-        p = std::to_chars(p, buf + sizeof buf, r.addr, 16).ptr;
+        p = number(p, r.addr, 16);
         *p++ = ' ';
-        p = std::to_chars(p, buf + sizeof buf,
-                          static_cast<unsigned>(r.size)).ptr;
+        p = number(p, r.size, 10);
         *p++ = ' ';
-        p = std::to_chars(p, buf + sizeof buf, r.instrDelta).ptr;
+        p = number(p, r.instrDelta, 10);
         *p++ = '\n';
         os.write(buf, p - buf);
     }

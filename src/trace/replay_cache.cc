@@ -51,6 +51,74 @@ isHexDigest(const std::string& digest)
     return true;
 }
 
+/**
+ * Most payload bytes one record takes: the meta byte, a 10-byte
+ * zigzag varint address delta (a jump of 2^62 or more) and a 5-byte
+ * varint instruction delta (2^28 or more).
+ */
+constexpr std::size_t kMaxRecordBytes = 1 + 10 + 5;
+
+/** The JCRC file of `trace`, whose contentDigest() is `digest`. */
+std::string
+encodeReplayCache(const Trace& trace, const std::string& digest,
+                  std::size_t blockRecords)
+{
+    if (blockRecords == 0)
+        blockRecords = 1;
+    if (!isHexDigest(digest))
+        fatal("unexpected trace digest format: " + digest);
+
+    const std::string& name = trace.name();
+    const std::size_t count = trace.size();
+    const std::size_t block_count =
+        (count + blockRecords - 1) / blockRecords;
+    const std::size_t table_base = kHeaderBytes + name.size();
+
+    // One buffer holds the whole file, reserved for the widest
+    // encoding of every record so that it never moves.  Each block is
+    // encoded through a pointer into headroom sized for that block
+    // alone, then cut back to the bytes written: the reserve beyond
+    // them is address space that no byte is ever written to.
+    std::string out;
+    out.reserve(table_base + 8 * block_count + count * kMaxRecordBytes);
+    out.append(kReplayCacheMagic.data(), kReplayCacheMagic.size());
+    appendLe<std::uint16_t>(out, kReplayCacheVersion);
+    appendLe<std::uint16_t>(out, 0); // flags, reserved
+    appendLe<std::uint64_t>(out, count);
+    appendLe<std::uint64_t>(out, blockRecords);
+    appendLe<std::uint64_t>(out, block_count);
+    out.append(digest);
+    appendLe<std::uint32_t>(out, static_cast<std::uint32_t>(name.size()));
+    out.append(name);
+    out.resize(table_base + 8 * block_count); // the offset table
+
+    for (std::size_t b = 0; b < block_count; ++b) {
+        const std::size_t first = b * blockRecords;
+        const std::size_t n = std::min(blockRecords, count - first);
+        const std::size_t start = out.size();
+        for (unsigned i = 0; i < 8; ++i)
+            out[table_base + 8 * b + i] =
+                static_cast<char>((start >> (8 * i)) & 0xff);
+
+        out.resize(start + n * kMaxRecordBytes);
+        char* const base = out.data();
+        char* p = base + start;
+        Addr prev_addr = 0; // reset per block: blocks decode alone
+        for (std::size_t i = 0; i < n; ++i) {
+            const TraceRecord& r = trace[first + i];
+            *p++ = static_cast<char>((r.type == RefType::Write ? 1 : 0) |
+                                     (floorLog2(r.size) << 1));
+            // The delta wraps modulo 2^64, so any jump fits.
+            p = putVarint(p, zigzagEncode(static_cast<std::int64_t>(
+                                 r.addr - prev_addr)));
+            p = putVarint(p, r.instrDelta);
+            prev_addr = r.addr;
+        }
+        out.resize(static_cast<std::size_t>(p - base));
+    }
+    return out;
+}
+
 } // namespace
 
 std::string
@@ -63,72 +131,27 @@ void
 writeReplayCache(const Trace& trace, const std::string& path,
                  std::size_t blockRecords)
 {
-    if (blockRecords == 0)
-        blockRecords = 1;
-
-    const std::string digest = contentDigest(trace);
-    fatalIf(!isHexDigest(digest),
-            "unexpected trace digest format: " + digest);
-
-    const std::size_t count = trace.size();
-    const std::size_t block_count =
-        (count + blockRecords - 1) / blockRecords;
-
-    // Encode every block payload first, noting where each begins, so
-    // the offset table can be emitted with absolute file offsets.
-    std::string payload;
-    payload.reserve(count * 3);
-    std::vector<std::uint64_t> starts;
-    starts.reserve(block_count);
-    for (std::size_t b = 0; b < block_count; ++b) {
-        starts.push_back(payload.size());
-        const std::size_t first = b * blockRecords;
-        const std::size_t n = std::min(blockRecords, count - first);
-        Addr prev_addr = 0; // reset per block: blocks decode alone
-        for (std::size_t i = 0; i < n; ++i) {
-            const TraceRecord& r = trace[first + i];
-            const unsigned size_log2 = floorLog2(r.size);
-            const auto meta = static_cast<std::uint8_t>(
-                (r.type == RefType::Write ? 1 : 0) | (size_log2 << 1));
-            payload.push_back(static_cast<char>(meta));
-            appendVarint(payload, zigzagEncode(
-                                      static_cast<std::int64_t>(r.addr) -
-                                      static_cast<std::int64_t>(prev_addr)));
-            appendVarint(payload, r.instrDelta);
-            prev_addr = r.addr;
-        }
-    }
-
-    const std::string& name = trace.name();
-    const std::size_t payload_base =
-        kHeaderBytes + name.size() + 8 * block_count;
-
-    std::string out;
-    out.reserve(payload_base + payload.size());
-    out.append(kReplayCacheMagic.data(), kReplayCacheMagic.size());
-    appendLe<std::uint16_t>(out, kReplayCacheVersion);
-    appendLe<std::uint16_t>(out, 0); // flags, reserved
-    appendLe<std::uint64_t>(out, count);
-    appendLe<std::uint64_t>(out, blockRecords);
-    appendLe<std::uint64_t>(out, block_count);
-    out.append(digest);
-    appendLe<std::uint32_t>(out, static_cast<std::uint32_t>(name.size()));
-    out.append(name);
-    for (std::uint64_t start : starts)
-        appendLe<std::uint64_t>(out, payload_base + start);
-    out.append(payload);
-
-    util::atomicWriteFile(path, out);
+    util::atomicWriteFile(
+        path, encodeReplayCache(trace, contentDigest(trace), blockRecords));
 }
 
 std::string
 ensureReplayCache(const Trace& trace, const std::string& dir,
                   std::size_t blockRecords)
 {
+    return ensureReplayCache(trace, contentDigest(trace), dir,
+                             blockRecords);
+}
+
+std::string
+ensureReplayCache(const Trace& trace, const std::string& digest,
+                  const std::string& dir, std::size_t blockRecords)
+{
     util::ensureDirectory(dir);
-    const std::string path = replayCachePath(dir, contentDigest(trace));
+    const std::string path = replayCachePath(dir, digest);
     if (!std::filesystem::exists(path))
-        writeReplayCache(trace, path, blockRecords);
+        util::atomicWriteFile(
+            path, encodeReplayCache(trace, digest, blockRecords));
     return path;
 }
 
@@ -250,7 +273,7 @@ MappedReplayCache::parseHeader()
     block_records_ = static_cast<std::size_t>(block_records);
     block_count_ = static_cast<std::size_t>(block_count);
     offsets_ = p;
-    identity_ = name_ + "#" + digest_ + "#" + std::to_string(count_);
+    identity_ = traceIdentity(name_, digest_, count_);
 
     // The offset table must be monotone and in bounds; the payload
     // bytes themselves are validated by decodeBlock.
@@ -323,8 +346,7 @@ MappedReplayCache::decodeBlock(std::size_t index,
         std::uint64_t delta = 0;
         if (!readVarint(p, end, delta))
             corrupt("bad address delta in " + what());
-        r.addr = static_cast<Addr>(static_cast<std::int64_t>(prev_addr) +
-                                   zigzagDecode(delta));
+        r.addr = prev_addr + static_cast<Addr>(zigzagDecode(delta));
         std::uint64_t instr = 0;
         if (!readVarint(p, end, instr))
             corrupt("bad instruction delta in " + what());

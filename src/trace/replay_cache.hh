@@ -84,9 +84,20 @@ void writeReplayCache(const Trace& trace, const std::string& path,
  * Ensure `dir` holds a replay cache for `trace` and return its path.
  * Creates the directory and writes `<contentDigest>.jcrc` when
  * missing; an existing file is trusted (the digest name is the
- * invalidation key) and left untouched.
+ * invalidation key) and left untouched.  The records are digested
+ * once.
  */
 std::string ensureReplayCache(const Trace& trace,
+                              const std::string& dir,
+                              std::size_t blockRecords = kDefaultBlockRecords);
+
+/**
+ * ensureReplayCache() for a caller that already holds `digest`, the
+ * trace's contentDigest(): it names the file and fills its header,
+ * and the records are not digested again.
+ */
+std::string ensureReplayCache(const Trace& trace,
+                              const std::string& digest,
                               const std::string& dir,
                               std::size_t blockRecords = kDefaultBlockRecords);
 

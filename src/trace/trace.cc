@@ -31,8 +31,14 @@ contentDigest(const Trace& trace)
 std::string
 traceIdentity(const Trace& trace)
 {
-    return trace.name() + "#" + contentDigest(trace) + "#" +
-           std::to_string(trace.size());
+    return traceIdentity(trace.name(), contentDigest(trace), trace.size());
+}
+
+std::string
+traceIdentity(const std::string& name, const std::string& digest,
+              std::uint64_t records)
+{
+    return name + "#" + digest + "#" + std::to_string(records);
 }
 
 bool

@@ -11,6 +11,7 @@
 #ifndef JCACHE_TRACE_TRACE_HH
 #define JCACHE_TRACE_TRACE_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -74,6 +75,14 @@ std::string contentDigest(const Trace& trace);
  * merely reuses a workload name.
  */
 std::string traceIdentity(const Trace& trace);
+
+/**
+ * traceIdentity() from its parts, for a caller that already holds
+ * the digest: `<name>#<digest>#<records>`.
+ */
+std::string traceIdentity(const std::string& name,
+                          const std::string& digest,
+                          std::uint64_t records);
 
 /** True if the record is well-formed (power-of-two size 1..8). */
 bool isValid(const TraceRecord& record);

@@ -6,10 +6,14 @@
  * docs/TRACE_FORMAT.md) writes a record as a meta byte, a
  * zigzag-varint address delta, and a varint instruction delta.
  * Two flavors are provided, matched to the call sites:
- *  - buffer appenders (appendLe/appendVarint) for the writer, which
- *    builds the whole file in memory for an atomic rename;
+ *  - writers for the encoder, which builds the whole file in memory
+ *    for an atomic rename: appendLe for the fixed-width header
+ *    fields, and putVarint, which writes through a pointer into
+ *    headroom the encoder has sized for the widest record;
  *  - bounded buffer readers (readLe/readVarint) for the mmap'd
- *    decoder, which must never read past the mapping.
+ *    decoder, which must never read past the mapping, and the
+ *    unchecked loadLe under readLe, which the JCTR reader also uses
+ *    on records it has already read whole.
  *
  * The varint encoding is LEB128: 7 payload bits per byte, low bits
  * first, high bit set on every byte but the last.  Zigzag maps signed
@@ -52,15 +56,34 @@ appendLe(std::string& out, T value)
         out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
 }
 
-/** Append `value` to a byte buffer as a LEB128 varint. */
-inline void
-appendVarint(std::string& out, std::uint64_t value)
+/**
+ * Write `value` at `p` as a LEB128 varint and return the byte after
+ * it.  The caller guarantees room for up to 10 bytes (a 64-bit value
+ * takes ceil(64 / 7)).
+ */
+inline char*
+putVarint(char* p, std::uint64_t value)
 {
     while (value >= 0x80) {
-        out.push_back(static_cast<char>((value & 0x7f) | 0x80));
+        *p++ = static_cast<char>((value & 0x7f) | 0x80);
         value >>= 7;
     }
-    out.push_back(static_cast<char>(value));
+    *p++ = static_cast<char>(value);
+    return p;
+}
+
+/**
+ * Decode the little-endian fixed-width integer at `p`, which the
+ * caller guarantees holds sizeof(T) bytes.
+ */
+template <typename T>
+T
+loadLe(const unsigned char* p)
+{
+    T value = 0;
+    for (unsigned i = 0; i < sizeof(T); ++i)
+        value |= static_cast<T>(static_cast<T>(p[i]) << (8 * i));
+    return value;
 }
 
 /**
@@ -75,11 +98,8 @@ readLe(const unsigned char*& p, const unsigned char* end, T& out)
 {
     if (static_cast<std::size_t>(end - p) < sizeof(T))
         return false;
-    T value = 0;
-    for (unsigned i = 0; i < sizeof(T); ++i)
-        value |= static_cast<T>(static_cast<T>(p[i]) << (8 * i));
+    out = loadLe<T>(p);
     p += sizeof(T);
-    out = value;
     return true;
 }
 

@@ -41,9 +41,20 @@ class FatalError : public std::runtime_error
  */
 [[noreturn]] void panic(const std::string& message);
 
-/** Throw FatalError with the message unless the condition holds. */
+/** Throw FatalError with the message if the condition holds. */
 inline void
 fatalIf(bool condition, const std::string& message)
+{
+    if (condition)
+        fatal(message);
+}
+
+/**
+ * fatalIf() for a literal message: no std::string is built unless
+ * the condition holds, so a check on a hot path costs one branch.
+ */
+inline void
+fatalIf(bool condition, const char* message)
 {
     if (condition)
         fatal(message);

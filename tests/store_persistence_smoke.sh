@@ -7,7 +7,9 @@
 #      write-miss policies x the size and line axes, write-through)
 #      populates the store;
 #   2. repeating every sweep with --incremental simulates 0 cells and
-#      prints tables byte-identical to the cold pass;
+#      prints tables byte-identical to the cold pass, also beside a
+#      replay cache (--trace-cache-dir), cold and warm: a sweep that
+#      replays the cache keys the store exactly as one that does not;
 #   3. a jcached restarted over the same --store-dir serves a run it
 #      never computed in-process: the store hit counter goes nonzero
 #      and the rendered table is byte-identical across the restart.
@@ -64,6 +66,32 @@ for miss in fow wv wa wi; do
     done
 done
 echo "store_persistence_smoke: warm pass reused every cell"
+
+# 2b. The same incremental sweeps beside a replay cache, first with
+#     the cache directory empty, then with it warm.  The trace
+#     identity a sweep derives next to the cache must equal the one
+#     step 1 keyed the store by, so no cell resimulates.
+TRACE_CACHE="$WORKDIR/trace_cache"
+rm -rf "$TRACE_CACHE"
+for pass in cold warm; do
+    for miss in fow wv wa wi; do
+        for axis in size line; do
+            out="$WORKDIR/cached_${pass}_${miss}_${axis}"
+            "$SWEEP" ccom --axis "$axis" --hit wt --miss "$miss" \
+                --store-dir "$STORE" --incremental \
+                --trace-cache-dir "$TRACE_CACHE" \
+                > "$out.txt" 2> "$out.err" \
+                || fail "replay-cache sweep $pass $miss/$axis"
+            grep -q "simulated 0 cells" "$out.err" \
+                || fail "replay-cache sweep $pass $miss/$axis resimulated"
+            cmp "$WORKDIR/cold_${miss}_${axis}.txt" "$out.txt" \
+                || fail "replay-cache table $pass $miss/$axis differs"
+        done
+    done
+    ls "$TRACE_CACHE"/*.jcrc > /dev/null 2>&1 \
+        || fail "$pass replay-cache pass wrote no replay cache"
+done
+echo "store_persistence_smoke: replay-cache passes reused every cell"
 
 # Shared daemon plumbing for step 3.
 start_daemon() {

@@ -6,10 +6,13 @@
  * readTrace(), JCRC through loadAnyTrace()).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <random>
 #include <sstream>
+#include <streambuf>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -476,6 +479,124 @@ TEST(TraceFileIo, InjectedRecordFaultFailsMidRead)
     std::stringstream buffer(rawBytes());
     EXPECT_THROW(readTrace(buffer), CorruptTraceError);
     fault::reset();
+}
+
+/** Records per istream::read in readTrace(). */
+constexpr std::size_t kChunk = kRawReadChunkRecords;
+
+/** `n` records of every size and type, addresses spread over 64 bits. */
+Trace
+chunkTrace(std::size_t n)
+{
+    Trace t("chunks");
+    std::mt19937_64 rng(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        t.append({rng(), static_cast<std::uint32_t>(rng()),
+                  static_cast<std::uint8_t>(1u << (i % 4)),
+                  i % 3 == 0 ? RefType::Write : RefType::Read});
+    }
+    return t;
+}
+
+/**
+ * A read-only stream buffer whose seeks fail, as a pipe's do, and
+ * which hands out its bytes a thousand at a time, so one
+ * istream::read spans many refills.
+ */
+class PipeBuf : public std::streambuf
+{
+  public:
+    explicit PipeBuf(std::string bytes) : bytes_(std::move(bytes))
+    {
+        setg(bytes_.data(), bytes_.data(), bytes_.data());
+    }
+
+  protected:
+    int_type underflow() override
+    {
+        char* const end = bytes_.data() + bytes_.size();
+        if (egptr() == end)
+            return traits_type::eof();
+        setg(egptr(), egptr(), std::min(egptr() + kPiece, end));
+        return traits_type::to_int_type(*gptr());
+    }
+
+  private:
+    static constexpr std::ptrdiff_t kPiece = 1000;
+    std::string bytes_;
+};
+
+Trace
+readUnseekable(const std::string& bytes)
+{
+    PipeBuf buf(bytes);
+    std::istream is(&buf);
+    return readTrace(is);
+}
+
+TEST(TraceFileIo, RoundTripsAtChunkEdges)
+{
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, kChunk - 1,
+                          kChunk, kChunk + 1, 2 * kChunk + 1}) {
+        const Trace t = chunkTrace(n);
+        const std::string bytes = rawBytes(t);
+        std::stringstream seekable(bytes);
+        EXPECT_EQ(readTrace(seekable), t) << n << " records, seekable";
+        EXPECT_EQ(readUnseekable(bytes), t) << n << " records, unseekable";
+    }
+}
+
+TEST(TraceFileIo, UnseekableStreamCannotVerifyTheCountUpFront)
+{
+    // The seekable path refuses these bytes before reading a record;
+    // a pipe cannot be measured, so the reader must find out by
+    // reading, and must not trust the header's count for its reserve.
+    std::string bytes = rawBytes(chunkTrace(3));
+    pokeLe(bytes, 8, 1ull << 60, 8);
+    std::stringstream seekable(bytes);
+    EXPECT_THROW(readTrace(seekable), CorruptTraceError);
+    EXPECT_THROW(readUnseekable(bytes), CorruptTraceError);
+}
+
+TEST(TraceFileIo, UnseekableTruncationAlwaysThrows)
+{
+    // Cut a (C+3)-record file at every record boundary and inside
+    // every record: each prefix must be refused, including those
+    // that end exactly where a chunk of the reader does.
+    const std::string pristine = rawBytes(chunkTrace(kChunk + 3));
+    const std::size_t header = 4 + 4 + 8 + 4 + std::string("chunks").size();
+    for (std::size_t k = 0; k < kChunk + 3; ++k) {
+        for (std::size_t into : {std::size_t{0}, std::size_t{7}}) {
+            const std::size_t len = header + 14 * k + into;
+            EXPECT_THROW(readUnseekable(pristine.substr(0, len)),
+                         CorruptTraceError)
+                << "prefix of " << k << " records and " << into
+                << " bytes parsed";
+        }
+    }
+}
+
+TEST(TraceFileIo, InjectedRecordFaultNamesItsRecordAcrossChunks)
+{
+    // trace.read.record=nK fires on the K-th record read, whichever
+    // side of a chunk boundary it falls on.
+    const std::string bytes = rawBytes(chunkTrace(kChunk + 3));
+    for (std::size_t k : {std::size_t{1}, kChunk - 1, kChunk, kChunk + 1,
+                          kChunk + 2}) {
+        fault::configure("trace.read.record=n" + std::to_string(k));
+        std::stringstream buffer(bytes);
+        try {
+            readTrace(buffer);
+            ADD_FAILURE() << "fault n" << k << " did not fire";
+        } catch (const CorruptTraceError& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "injected fault: short record " +
+                          std::to_string(k - 1)),
+                      std::string::npos)
+                << e.what();
+        }
+        fault::reset();
+    }
 }
 
 } // namespace

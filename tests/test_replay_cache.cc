@@ -268,6 +268,66 @@ TEST(ReplayCache, RejectsCorruptRecords)
     }
 }
 
+TEST(ReplayCache, WidestRecordsMatchTheFormatByteForByte)
+{
+    // Every record takes the widest encoding docs/TRACE_FORMAT.md
+    // allows: each address jumps by 2^63, a delta of -2^63 modulo
+    // 2^64 that zigzag-maps to 2^64 - 1 and takes a 10-byte varint,
+    // and an instruction delta of 2^32 - 1 takes 5.  With the meta
+    // byte that is 16 bytes a record, the most the writer leaves room
+    // for.  The reference is spelled out from the format's rules.
+    constexpr std::size_t kBlock = 1000;
+    constexpr std::size_t kRecords = 2 * kBlock + 1;
+    Trace t("wide");
+    for (std::size_t i = 0; i < kRecords; ++i)
+        t.append({i % 2 == 0 ? Addr{1} << 63 : Addr{0}, 0xffffffffu, 8,
+                  RefType::Write});
+    const std::string record =
+        "\x07"s                                    // write, 8 bytes
+        "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"s // zigzag(-2^63)
+        "\xff\xff\xff\xff\x0f"s;                   // 2^32 - 1
+    ASSERT_EQ(record.size(), 16u);
+
+    std::string expected(kReplayCacheMagic.begin(),
+                         kReplayCacheMagic.end());
+    appendLe<std::uint16_t>(expected, kReplayCacheVersion);
+    appendLe<std::uint16_t>(expected, 0);
+    appendLe<std::uint64_t>(expected, kRecords);
+    appendLe<std::uint64_t>(expected, kBlock);
+    appendLe<std::uint64_t>(expected, 3);
+    expected += contentDigest(t);
+    appendLe<std::uint32_t>(expected, 4);
+    expected += "wide";
+    const std::uint64_t payload = 52 + 4 + 3 * 8;
+    for (std::uint64_t b = 0; b < 3; ++b)
+        appendLe<std::uint64_t>(expected, payload + b * kBlock * 16);
+    for (std::size_t i = 0; i < kRecords; ++i)
+        expected += record;
+
+    TempDir dir("jcache_replay_widest");
+    fs::create_directories(dir.path);
+    const std::string path = dir.path + "/wide.jcrc";
+    writeReplayCache(t, path, kBlock);
+    EXPECT_EQ(readFile(path), expected);
+    MappedReplayCache cache(path);
+    EXPECT_EQ(drain(cache), t.records());
+}
+
+TEST(ReplayCache, EnsureWithAKnownDigestWritesTheSameFile)
+{
+    // Handing ensureReplayCache() the digest the caller already holds
+    // skips a second digest and changes no byte or name.
+    TempDir computed("jcache_replay_digest_computed");
+    TempDir given("jcache_replay_digest_given");
+    Trace trace = sampleTrace();
+    const std::string a = ensureReplayCache(trace, computed.path);
+    const std::string b =
+        ensureReplayCache(trace, contentDigest(trace), given.path);
+    EXPECT_EQ(fs::path(a).filename(), fs::path(b).filename());
+    EXPECT_EQ(readFile(a), readFile(b));
+    EXPECT_EQ(MappedReplayCache(b).identity(), traceIdentity(trace));
+}
+
 #ifdef __linux__
 TEST(ReplayCache, FailedOpenReleasesTheMapping)
 {

@@ -231,6 +231,12 @@ main(int argc, char** argv)
 
         sim::AxisPoints points = sim::buildAxisPoints(axis, base);
 
+        // One digest names the replay cache and keys the store.
+        const std::string digest =
+            trace_cache_dir.empty() && store_dir.empty()
+                ? std::string()
+                : trace::contentDigest(trace);
+
         // With a replay-cache directory the one-pass engine replays
         // the mmap'd delta blocks instead of the in-memory records:
         // the cache is written once per trace content and mapped on
@@ -240,7 +246,7 @@ main(int argc, char** argv)
         if (!trace_cache_dir.empty()) {
             telemetry::Span span("trace.replay_cache", "sim");
             std::string cache_path =
-                trace::ensureReplayCache(trace, trace_cache_dir);
+                trace::ensureReplayCache(trace, digest, trace_cache_dir);
             mapped = std::make_unique<trace::MappedReplayCache>(
                 cache_path);
             span.arg("digest", mapped->digest());
@@ -270,7 +276,8 @@ main(int argc, char** argv)
 
             store::KeyContext ctx;
             ctx.engine = common.engine;
-            std::string identity = trace::traceIdentity(trace);
+            const std::string identity =
+                trace::traceIdentity(trace.name(), digest, trace.size());
             for (const core::CacheConfig& config : points.configs)
                 keys.push_back(store::cellKey(
                     ctx, identity,
