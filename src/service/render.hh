@@ -21,9 +21,30 @@
 #include "service/json_value.hh"
 #include "sim/run.hh"
 #include "stats/json.hh"
+#include "util/logging.hh"
 
 namespace jcache::service
 {
+
+/**
+ * A refusal or failure that answers with its own wire code instead
+ * of the generic `bad_request`: a scatter's `shard_unavailable` or
+ * `deadline_exceeded`, an upload's `trace_too_large` or `bad_trace`.
+ */
+class CodedError : public FatalError
+{
+  public:
+    CodedError(std::string code, const std::string& message)
+        : FatalError(message), code_(std::move(code))
+    {
+    }
+
+    /** The wire error code the service answers with. */
+    const std::string& code() const { return code_; }
+
+  private:
+    std::string code_;
+};
 
 /**
  * Print the jcache-sim statistics block for one run.

@@ -185,24 +185,18 @@ parseDeadline(const JsonValue& request, Clock::time_point received)
 }
 
 /**
- * Collapse a report's per-cell failures into one error message; the
- * caller throws it so the submitter sees a `bad_request`, never a
- * payload silently built from partial results.
- */
-/**
  * The request's trace reference: the API 1.4 `trace_ref` spec when
  * present, else the legacy `workload` name.  Path refs are refused —
  * the wire must never name server-side files.
  */
 sim::TraceRef
-parseTraceRef(const JsonValue& request, const char* type)
+parseTraceRef(const JsonValue& request, const std::string& type)
 {
     std::string spec = request.getString("trace_ref");
     if (spec.empty())
         spec = request.getString("workload");
     fatalIf(spec.empty(),
-            std::string(type) +
-                " request needs a 'trace_ref' (or a 'workload' name)");
+            type + " request needs a 'trace_ref' (or a 'workload' name)");
     std::optional<sim::TraceRef> ref = sim::TraceRef::parse(spec);
     fatalIf(!ref, "malformed trace reference: '" + spec + "'");
     fatalIf(ref->kind() == sim::TraceRef::Kind::Path,
@@ -211,6 +205,11 @@ parseTraceRef(const JsonValue& request, const char* type)
     return *ref;
 }
 
+/**
+ * Collapse a report's per-cell failures into one error message; the
+ * caller throws it so the submitter sees a `bad_request`, never a
+ * payload silently built from partial results.
+ */
 std::string
 describeFailures(const sim::SweepReport& report)
 {
@@ -222,6 +221,87 @@ describeFailures(const sim::SweepReport& report)
     std::string text = oss.str();
     text.pop_back();
     return text;
+}
+
+/** Armed-only counters for the uploaded-trace import site. */
+void
+countImport(bool accepted, std::size_t bytes, std::size_t records)
+{
+    if (!telemetry::armed())
+        return;
+    telemetry::Registry& reg = telemetry::Registry::instance();
+    reg.counter("jcache_trace_import_total",
+                "Uploaded-trace import attempts, by outcome",
+                {{"outcome", accepted ? "accepted" : "rejected"}})
+        .inc();
+    if (!accepted)
+        return;
+    reg.counter("jcache_trace_import_bytes_total",
+                "Encoded bytes of accepted trace uploads")
+        .inc(bytes);
+    reg.counter("jcache_trace_import_records_total",
+                "Records decoded from accepted trace uploads")
+        .inc(records);
+}
+
+/**
+ * True when a request's `api_version` names the daemon's major: the
+ * API version rides inside the protocol, and a matching major means
+ * additive-compatible.  Any other major is refused with a typed error
+ * rather than a downstream parse failure.
+ */
+bool
+speaksApiMajor(const JsonValue& api)
+{
+    if (!api.isString() || api.string().empty())
+        return false;
+    const std::string& text = api.string();
+    unsigned major = 0;
+    std::size_t k = 0;
+    while (k < text.size() && text[k] >= '0' && text[k] <= '9') {
+        major = major * 10 + (text[k] - '0');
+        ++k;
+    }
+    return k > 0 && (k == text.size() || text[k] == '.') &&
+           major == kApiVersionMajor;
+}
+
+std::string
+pingResponse(const std::string& request_id)
+{
+    std::ostringstream oss;
+    stats::JsonWriter json(oss);
+    json.beginObject();
+    json.field("ok", true);
+    json.field("type", "ping");
+    json.field("version", std::string(kVersion));
+    json.field("protocol", static_cast<double>(kProtocolVersion));
+    json.field("api_version", std::string(kApiVersion));
+    if (!request_id.empty())
+        json.field("request_id", request_id);
+    json.endObject();
+    return oss.str();
+}
+
+std::string
+shutdownResponse(const std::string& request_id)
+{
+    std::ostringstream oss;
+    stats::JsonWriter json(oss);
+    json.beginObject();
+    json.field("ok", true);
+    json.field("type", "shutdown");
+    json.field("draining", true);
+    if (!request_id.empty())
+        json.field("request_id", request_id);
+    json.endObject();
+    return oss.str();
+}
+
+double
+secondsSince(Clock::time_point start)
+{
+    return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
 /** TraceRepository wiring of one daemon: registry + uploads +
@@ -328,8 +408,9 @@ Service::schedulerLoop()
             sojourn_seconds, queued_behind, now);
         if (job.deadline.time_since_epoch().count() != 0 &&
             now >= job.deadline) {
-            shedAtDequeue(job, "deadline_exceeded", 0,
-                          sojourn_seconds * 1000.0);
+            shedAtDequeue(job, true,
+                          deadlineResponse(sojourn_seconds * 1000.0,
+                                           job.requestId));
             continue;
         }
         if (codel_shed) {
@@ -340,8 +421,9 @@ Service::schedulerLoop()
                 1.0 /
                 std::sqrt(static_cast<double>(
                     std::max<std::uint64_t>(1, admission_.dropCount())));
-            shedAtDequeue(job, "busy", retryAfterMillis(scale),
-                          sojourn_seconds * 1000.0);
+            shedAtDequeue(job, false,
+                          busyResponse(retryAfterMillis(scale),
+                                       job.requestId));
             continue;
         }
         if (JCACHE_FAULT("service.delay")) {
@@ -351,26 +433,25 @@ Service::schedulerLoop()
                 std::chrono::milliseconds(300));
         }
         Clock::time_point start = Clock::now();
+        JobOutcome outcome;
         {
             telemetry::Span run_span("job.run", "service");
             try {
-                job.outcome.payload = job.work();
-            } catch (const ShardError& e) {
-                job.outcome.error = e.what();
-                job.outcome.errorCode = e.code();
+                outcome.payload = renderPayload(
+                    job.spec, executeCells(job.spec, job.deadline));
+            } catch (const CodedError& e) {
+                outcome.error = e.what();
+                outcome.errorCode = e.code();
             } catch (const FatalError& e) {
-                job.outcome.error = e.what();
+                outcome.error = e.what();
             } catch (const std::exception& e) {
-                job.outcome.error =
+                outcome.error =
                     std::string("internal error: ") + e.what();
             }
         }
-        // Account the job before completing it: a stats request
+        // Account the job before answering it: a stats request
         // issued right after a run must already see it.
-        double seconds =
-            std::chrono::duration<double>(Clock::now() - start)
-                .count();
-        jobWall_.observe(seconds);
+        jobWall_.observe(secondsSince(start));
         {
             std::lock_guard<std::mutex> lock(stats_mutex_);
             ++jobsExecuted_;
@@ -382,19 +463,13 @@ Service::schedulerLoop()
                     "Simulation jobs drained from the queue");
             jobs.inc();
         }
-        job.complete(std::move(job.outcome));
+        job.reply(jobResponse(outcome, job.spec, job.requestId));
     }
 }
 
 void
-Service::shedAtDequeue(Job& job, const std::string& code,
-                       unsigned retry_after_millis,
-                       double waited_millis)
+Service::shedAtDequeue(Job& job, bool deadline, std::string response)
 {
-    job.outcome.shedCode = code;
-    job.outcome.retryAfterMillis = retry_after_millis;
-    job.outcome.waitedMillis = waited_millis;
-    bool deadline = code == "deadline_exceeded";
     {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         if (deadline)
@@ -403,22 +478,11 @@ Service::shedAtDequeue(Job& job, const std::string& code,
             ++shedCodel_;
     }
     countShed(deadline ? "deadline" : "codel");
-    job.complete(std::move(job.outcome));
-}
-
-void
-Service::recordJobTiming(double job_seconds,
-                         const sim::SweepReport& report)
-{
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    jobBusySeconds_ += report.busySeconds();
-    jobGridSeconds_ += job_seconds;
+    job.reply(std::move(response));
 }
 
 bool
-Service::submitAsync(std::function<std::string()> work,
-                     std::function<void(JobOutcome&&)> complete,
-                     std::chrono::steady_clock::time_point deadline)
+Service::submitAsync(Job job)
 {
     {
         std::lock_guard<std::mutex> lock(queue_mutex_);
@@ -430,11 +494,7 @@ Service::submitAsync(std::function<std::string()> work,
             ++rejectedBusy_;
             return false;
         }
-        Job job;
-        job.work = std::move(work);
-        job.complete = std::move(complete);
         job.submitted = Clock::now();
-        job.deadline = deadline;
         queue_.push_back(std::move(job));
     }
     queue_cv_.notify_one();
@@ -442,42 +502,83 @@ Service::submitAsync(std::function<std::string()> work,
 }
 
 std::vector<sim::RunResult>
-Service::executeCells(const sim::ResolvedTrace& resolved,
-                      const sim::TraceRef& ref,
-                      const std::vector<core::CacheConfig>& configs,
-                      bool flush,
-                      std::chrono::steady_clock::time_point deadline)
+Service::executeCells(const JobSpec& spec, Clock::time_point deadline)
 {
     Clock::time_point start = Clock::now();
-    if (shard_) {
+    std::vector<sim::RunResult> results;
+    sim::SweepReport report;
+    if (shard_ && !spec.ref.empty()) {
         // Coordinator: the grid runs on the workers, which resolve
         // the forwarded ref themselves.  Timing still lands in the
         // job histogram (scatter wall time is the coordinator's job
         // wall time); busySeconds stays zero since no local executor
         // ran.
-        std::vector<sim::RunResult> results =
-            shard_->execute(ref, flush, configs, deadline);
-        recordJobTiming(
-            std::chrono::duration<double>(Clock::now() - start)
-                .count(),
-            sim::SweepReport{});
-        return results;
+        results = shard_->execute(spec.ref, spec.flush, spec.configs,
+                                  deadline);
+    } else {
+        // On a coordinator, which has no pool, a job without a ref
+        // (an upload) starts `jobs` workers of its own.
+        std::vector<sim::Request> requests;
+        requests.reserve(spec.configs.size());
+        for (const core::CacheConfig& c : spec.configs)
+            requests.push_back({spec.resolved.trace.get(), c,
+                                spec.flush,
+                                spec.resolved.source.get()});
+        sim::BatchOptions options;
+        options.engine = config_.engine;
+        options.jobs = executorThreads_;
+        options.pool = pool_.get();
+        sim::BatchOutcome batch = sim::runBatch(requests, options);
+        results = std::move(batch.results);
+        report = std::move(batch.report);
     }
-    std::vector<sim::Request> requests;
-    requests.reserve(configs.size());
-    for (const core::CacheConfig& c : configs)
-        requests.push_back({resolved.trace.get(), c, flush,
-                            resolved.source.get()});
-    sim::BatchOptions options;
-    options.engine = config_.engine;
-    options.pool = pool_.get();
-    sim::BatchOutcome batch = sim::runBatch(requests, options);
-    recordJobTiming(
-        std::chrono::duration<double>(Clock::now() - start).count(),
-        batch.report);
-    if (!batch.ok())
-        fatal(describeFailures(batch.report));
-    return std::move(batch.results);
+    {
+        std::lock_guard<std::mutex> lock(stats_mutex_);
+        jobBusySeconds_ += report.busySeconds();
+        jobGridSeconds_ += secondsSince(start);
+    }
+    if (!report.allSucceeded())
+        fatal(describeFailures(report));
+    return results;
+}
+
+std::string
+Service::renderPayload(const JobSpec& spec,
+                       const std::vector<sim::RunResult>& results)
+{
+    // Result elements render exactly as the offline tools' do: the
+    // coordinator's merge reuses the same writeRunResult round-trip
+    // that keeps served sweeps byte-identical to jcache-sweep.
+    std::ostringstream oss;
+    stats::JsonWriter json(oss);
+    json.beginObject();
+    json.field("workload", spec.resolved.name);
+    json.field("trace_digest", spec.resolved.digest);
+    if (spec.type == "sweep") {
+        json.field("axis", spec.axis);
+        json.beginArray("labels");
+        for (const std::string& label : spec.labels)
+            json.element(label);
+        json.endArray();
+    } else {
+        json.field("flushed", spec.flush);
+    }
+    if (spec.type == "upload")
+        json.field("records",
+                   static_cast<double>(spec.resolved.trace->size()));
+    if (spec.type == "run" || spec.type == "upload") {
+        writeRunResult(json, "result", results.front());
+    } else {
+        json.beginArray("results");
+        for (const sim::RunResult& result : results) {
+            json.beginObject();
+            writeRunResult(json, "result", result);
+            json.endObject();
+        }
+        json.endArray();
+    }
+    json.endObject();
+    return oss.str();
 }
 
 sim::ResolvedTrace
@@ -567,13 +668,7 @@ Service::snapshot() const
         connectionsAccepted_.load(std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(stats_mutex_);
     snap.requests = requests_;
-    snap.runRequests = runRequests_;
-    snap.sweepRequests = sweepRequests_;
-    snap.batchRequests = batchRequests_;
-    snap.uploadRequests = uploadRequests_;
-    snap.statsRequests = statsRequests_;
-    snap.healthRequests = healthRequests_;
-    snap.pingRequests = pingRequests_;
+    snap.requestsByType = requestsByType_;
     snap.errors = errors_;
     snap.protocolErrors = protocolErrors_;
     snap.rejectedBusy = rejectedBusy_;
@@ -643,325 +738,185 @@ void
 Service::handleAsync(const std::string& request_json,
                      ResponseCallback done)
 {
+    Clock::time_point received = Clock::now();
     {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++requests_;
     }
 
-    // The handlers take the callback by value; sharing it keeps the
-    // catch blocks below able to answer a request whose handler threw
-    // during parsing, after the callback was already moved onward.
-    auto done_ptr = std::make_shared<ResponseCallback>(std::move(done));
-    ResponseCallback reply = [done_ptr](std::string response) {
-        (*done_ptr)(std::move(response));
+    // Every refusal before queueing is counted as an error.
+    std::string request_id;
+    auto refuse = [&](const std::string& code,
+                      const std::string& message) {
+        {
+            std::lock_guard<std::mutex> lock(stats_mutex_);
+            ++errors_;
+        }
+        done(errorResponse(code, message, request_id));
     };
 
     std::string parse_error;
     JsonValue request = JsonValue::parse(request_json, &parse_error);
-    if (!parse_error.empty() || !request.isObject()) {
-        {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++errors_;
-        }
-        reply(errorResponse(
-            "parse_error",
-            parse_error.empty() ? "request must be a JSON object"
-                                : parse_error));
-        return;
-    }
-
-    std::string request_id = request.getString("request_id");
+    if (!parse_error.empty() || !request.isObject())
+        return refuse("parse_error",
+                      parse_error.empty()
+                          ? "request must be a JSON object"
+                          : parse_error);
+    request_id = request.getString("request_id");
 
     double protocol = request.getNumber(
         "protocol", static_cast<double>(kProtocolVersion));
-    if (protocol != static_cast<double>(kProtocolVersion)) {
-        {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++errors_;
-        }
-        reply(errorResponse(
-            "protocol_mismatch",
-            "daemon speaks protocol " +
-                std::to_string(kProtocolVersion),
-            request_id));
-        return;
-    }
-
-    // The API version rides inside the protocol: absent means a
-    // client predating the handshake (accepted), a matching major
-    // means additive-compatible, any other major is refused with a
-    // typed error rather than a downstream parse failure.
-    if (request.has("api_version")) {
-        const JsonValue& api = request.get("api_version");
-        unsigned major = 0;
-        bool parsed = false;
-        if (api.isString() && !api.string().empty()) {
-            const std::string& text = api.string();
-            std::size_t k = 0;
-            while (k < text.size() && text[k] >= '0' &&
-                   text[k] <= '9') {
-                major = major * 10 + (text[k] - '0');
-                ++k;
-            }
-            parsed = k > 0 && (k == text.size() || text[k] == '.');
-        }
-        if (!parsed || major != kApiVersionMajor) {
-            {
-                std::lock_guard<std::mutex> lock(stats_mutex_);
-                ++errors_;
-            }
-            reply(errorResponse(
-                "unsupported_version",
-                "daemon speaks api version " +
-                    std::string(kApiVersion) +
-                    "; compatible requests declare major " +
-                    std::to_string(kApiVersionMajor),
-                request_id));
-            return;
-        }
-    }
+    if (protocol != static_cast<double>(kProtocolVersion))
+        return refuse("protocol_mismatch",
+                      "daemon speaks protocol " +
+                          std::to_string(kProtocolVersion));
+    // Absent means a client predating the handshake (accepted).
+    if (request.has("api_version") &&
+        !speaksApiMajor(request.get("api_version")))
+        return refuse("unsupported_version",
+                      "daemon speaks api version " +
+                          std::string(kApiVersion) +
+                          "; compatible requests declare major " +
+                          std::to_string(kApiVersionMajor));
 
     std::string type = request.getString("type");
     // Label values come from a fixed vocabulary: an unrecognized type
     // counts as "unknown" so untrusted input cannot mint label sets.
-    bool known = type == "run" || type == "sweep" ||
-                 type == "batch" || type == "upload" ||
-                 type == "stats" || type == "health" ||
-                 type == "ping" || type == "shutdown";
-    countRequest(known ? type : "unknown");
+    auto counted = std::find(kCountedRequestTypes.begin(),
+                             kCountedRequestTypes.end(), type);
+    bool known = counted != kCountedRequestTypes.end();
+    countRequest(known || type == "shutdown" ? type : "unknown");
+    if (known) {
+        std::lock_guard<std::mutex> lock(stats_mutex_);
+        ++requestsByType_[counted - kCountedRequestTypes.begin()];
+    }
     try {
-        if (type == "run") {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++runRequests_;
-        } else if (type == "sweep") {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++sweepRequests_;
-        } else if (type == "batch") {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++batchRequests_;
-        } else if (type == "upload") {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++uploadRequests_;
-        }
-
         if (type == "run")
-            return handleRun(request, request_id, reply);
+            return admit(describeRun(request), request, received,
+                         request_id, done);
         if (type == "sweep")
-            return handleSweep(request, request_id,
-                               reply);
+            return admit(describeSweep(request), request, received,
+                         request_id, done);
         if (type == "batch")
-            return handleBatch(request, request_id,
-                               reply);
+            return admit(describeBatch(request), request, received,
+                         request_id, done);
         if (type == "upload")
-            return handleUpload(request, request_id,
-                                reply);
+            return admit(describeUpload(request), request, received,
+                         request_id, done);
         if (type == "stats")
-            return reply(handleStats(request_id));
+            return done(okResponse("stats", "", false,
+                                   statsPayload(snapshot()),
+                                   request_id));
         if (type == "health")
-            return reply(handleHealth(request_id));
+            return done(okResponse("health", "", false,
+                                   healthPayload(snapshot()),
+                                   request_id));
         if (type == "ping")
-            return reply(handlePing(request_id));
-        if (type == "shutdown")
-            return reply(handleShutdown(request_id));
-
-        {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++errors_;
+            return done(pingResponse(request_id));
+        if (type == "shutdown") {
+            shutdown_.store(true);
+            return done(shutdownResponse(request_id));
         }
-        reply(errorResponse(
-            "unknown_type",
-            "unknown request type: '" + type +
-                "' (use "
-                "run|sweep|batch|upload|stats|health|ping|shutdown)",
-            request_id));
+        refuse("unknown_type",
+               "unknown request type: '" + type +
+                   "' (use "
+                   "run|sweep|batch|upload|stats|health|ping|shutdown)");
     } catch (const sim::UnknownTraceError& e) {
-        {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++errors_;
-        }
-        reply(errorResponse("unknown_trace", e.what(), request_id));
+        refuse("unknown_trace", e.what());
+    } catch (const CodedError& e) {
+        refuse(e.code(), e.what());
     } catch (const FatalError& e) {
-        {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++errors_;
-        }
-        reply(errorResponse("bad_request", e.what(), request_id));
+        refuse("bad_request", e.what());
     } catch (const std::exception& e) {
-        {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++errors_;
-        }
-        reply(errorResponse("internal_error", e.what(), request_id));
+        refuse("internal_error", e.what());
     }
 }
 
-void
-Service::handleRun(const JsonValue& request,
-                   const std::string& request_id,
-                   ResponseCallback done)
+Service::JobSpec
+Service::describeRun(const JsonValue& request)
 {
-    Clock::time_point received = Clock::now();
-    sim::TraceRef ref = parseTraceRef(request, "run");
+    JobSpec spec;
+    spec.type = "run";
+    spec.ref = parseTraceRef(request, spec.type);
     core::CacheConfig config =
         parseCacheConfig(request.get("config"));
     config.validate();
-    bool flush = request.getBool("flush", true);
+    spec.flush = request.getBool("flush", true);
 
     // Resolving the trace before queueing turns an unknown reference
     // into an immediate typed error rather than a queued failure.
-    sim::ResolvedTrace resolved = resolveRef(ref);
-
-    store::KeyContext ctx;
-    ctx.engine = config_.engine;
-    std::string digest = store::cellKey(
-        ctx, resolved, canonicalConfigKey(config), flush);
-    if (auto hit = cacheLookup(digest)) {
-        done(okResponse("run", digest, true, *hit, request_id));
-        return;
-    }
-
-    RequestDeadline deadline = parseDeadline(request, received);
-    if (deadline.expired) {
-        done(shedExpiredAtAdmission(request_id));
-        return;
-    }
-
-    // The work lambda outlives this call (the submitter no longer
-    // blocks), so every capture is owning: `resolved` shares
-    // ownership of the records (or mapping) even if the repository
-    // evicts the upload that satisfied the ref meanwhile.
-    auto done_ptr =
-        std::make_shared<ResponseCallback>(std::move(done));
-    bool admitted = submitAsync(
-        [this, resolved, ref, config, flush,
-         at = deadline.at]() -> std::string {
-            std::vector<sim::RunResult> results = executeCells(
-                resolved, ref, {config}, flush, at);
-
-            std::ostringstream oss;
-            stats::JsonWriter json(oss);
-            json.beginObject();
-            json.field("workload", resolved.name);
-            json.field("trace_digest", resolved.digest);
-            json.field("flushed", flush);
-            writeRunResult(json, "result", results.front());
-            json.endObject();
-            return oss.str();
-        },
-        [this, digest, request_id, done_ptr](JobOutcome&& outcome) {
-            (*done_ptr)(jobResponse(true, outcome, "run", digest,
-                                    request_id));
-        },
-        deadline.at);
-    if (!admitted)
-        (*done_ptr)(busyResponse(retryAfterMillis(), request_id));
+    spec.resolved = resolveRef(spec.ref);
+    spec.key = store::cellKey(store::KeyContext{config_.engine},
+                              spec.resolved, canonicalConfigKey(config),
+                              spec.flush);
+    spec.configs = {config};
+    return spec;
 }
 
-void
-Service::handleSweep(const JsonValue& request,
-                     const std::string& request_id,
-                     ResponseCallback done)
+Service::JobSpec
+Service::describeSweep(const JsonValue& request)
 {
-    Clock::time_point received = Clock::now();
-    sim::TraceRef ref = parseTraceRef(request, "sweep");
-    std::string axis = request.getString("axis");
-    fatalIf(axis.empty(), "sweep request needs an 'axis'");
+    JobSpec spec;
+    spec.type = "sweep";
+    spec.ref = parseTraceRef(request, spec.type);
+    spec.axis = request.getString("axis");
+    fatalIf(spec.axis.empty(), "sweep request needs an 'axis'");
     core::CacheConfig base = parseCacheConfig(request.get("config"));
 
-    sim::AxisPoints points = sim::buildAxisPoints(axis, base);
+    sim::AxisPoints points = sim::buildAxisPoints(spec.axis, base);
     for (const core::CacheConfig& c : points.configs)
         c.validate();
 
-    sim::ResolvedTrace resolved = resolveRef(ref);
-
+    spec.resolved = resolveRef(spec.ref);
     // The digest covers the axis and base config, not the metric:
     // every metric is derivable from the cached raw counts.
-    store::KeyContext ctx;
-    ctx.engine = config_.engine;
-    std::string digest = store::sweepKey(
-        ctx, resolved, axis, canonicalConfigKey(base));
-    if (auto hit = cacheLookup(digest)) {
-        done(okResponse("sweep", digest, true, *hit, request_id));
-        return;
-    }
-
-    RequestDeadline deadline = parseDeadline(request, received);
-    if (deadline.expired) {
-        done(shedExpiredAtAdmission(request_id));
-        return;
-    }
-
-    // `points` is captured by value: the async submitter's stack
-    // frame is gone before the scheduler runs the grid.
-    auto done_ptr =
-        std::make_shared<ResponseCallback>(std::move(done));
-    bool admitted = submitAsync(
-        [this, resolved, ref, points, axis,
-         at = deadline.at]() -> std::string {
-            std::vector<sim::RunResult> results = executeCells(
-                resolved, ref, points.configs, false, at);
-
-            std::ostringstream oss;
-            stats::JsonWriter json(oss);
-            json.beginObject();
-            json.field("workload", resolved.name);
-            json.field("trace_digest", resolved.digest);
-            json.field("axis", axis);
-            json.beginArray("labels");
-            for (const std::string& label : points.labels)
-                json.element(label);
-            json.endArray();
-            json.beginArray("results");
-            for (std::size_t i = 0; i < results.size(); ++i) {
-                json.beginObject();
-                writeRunResult(json, "result", results[i]);
-                json.endObject();
-            }
-            json.endArray();
-            json.endObject();
-            return oss.str();
-        },
-        [this, digest, request_id, done_ptr](JobOutcome&& outcome) {
-            (*done_ptr)(jobResponse(true, outcome, "sweep", digest,
-                                    request_id));
-        },
-        deadline.at);
-    if (!admitted)
-        (*done_ptr)(busyResponse(retryAfterMillis(), request_id));
+    spec.key = store::sweepKey(store::KeyContext{config_.engine},
+                               spec.resolved, spec.axis,
+                               canonicalConfigKey(base));
+    spec.configs = std::move(points.configs);
+    spec.labels = std::move(points.labels);
+    return spec;
 }
 
-namespace
+Service::JobSpec
+Service::describeBatch(const JsonValue& request)
 {
+    JobSpec spec;
+    spec.type = "batch";
+    spec.ref = parseTraceRef(request, spec.type);
+    const JsonValue& cells = request.get("configs");
+    fatalIf(!cells.isArray() || cells.items().empty(),
+            "batch request needs a non-empty 'configs' array");
+    fatalIf(cells.items().size() > config_.batchCapCells,
+            "batch request has " +
+                std::to_string(cells.items().size()) +
+                " cells; this daemon accepts at most " +
+                std::to_string(config_.batchCapCells));
+    // Unlike run, a batch defaults flush off: its cells are sweep
+    // points, and sweeps replay without the end-of-run flush.
+    spec.flush = request.getBool("flush", false);
 
-/** Armed-only counters for the uploaded-trace import site. */
-void
-countImport(bool accepted, std::size_t bytes, std::size_t records)
-{
-    if (!telemetry::armed())
-        return;
-    telemetry::Registry& reg = telemetry::Registry::instance();
-    reg.counter("jcache_trace_import_total",
-                "Uploaded-trace import attempts, by outcome",
-                {{"outcome", accepted ? "accepted" : "rejected"}})
-        .inc();
-    if (!accepted)
-        return;
-    reg.counter("jcache_trace_import_bytes_total",
-                "Encoded bytes of accepted trace uploads")
-        .inc(bytes);
-    reg.counter("jcache_trace_import_records_total",
-                "Records decoded from accepted trace uploads")
-        .inc(records);
+    std::vector<std::string> config_keys;
+    spec.configs.reserve(cells.items().size());
+    config_keys.reserve(cells.items().size());
+    for (const JsonValue& cell : cells.items()) {
+        core::CacheConfig config =
+            parseCacheConfig(cell.get("config"));
+        config.validate();
+        config_keys.push_back(canonicalConfigKey(config));
+        spec.configs.push_back(config);
+    }
+
+    spec.resolved = resolveRef(spec.ref);
+    spec.key = store::batchKey(store::KeyContext{config_.engine},
+                               spec.resolved.identity, config_keys,
+                               spec.flush);
+    return spec;
 }
 
-} // namespace
-
-void
-Service::handleUpload(const JsonValue& request,
-                      const std::string& request_id,
-                      ResponseCallback done)
+Service::JobSpec
+Service::describeUpload(const JsonValue& request)
 {
-    Clock::time_point received = Clock::now();
     std::string body = request.getString("trace");
     fatalIf(body.empty(), "upload request needs a 'trace' body");
     std::string encoding = request.getString("encoding");
@@ -976,223 +931,75 @@ Service::handleUpload(const JsonValue& request,
     core::CacheConfig config =
         parseCacheConfig(request.get("config"));
     config.validate();
-    bool flush = request.getBool("flush", true);
+    JobSpec spec;
+    spec.type = "upload";
+    spec.flush = request.getBool("flush", true);
+    spec.configs = {config};
 
     // The cap guards the parse, not just the replay: an oversized
     // body is refused before any decoding work.
     if (body.size() > config_.uploadCapBytes) {
         countImport(false, body.size(), 0);
-        done(errorResponse(
-            "trace_too_large",
-            "uploaded trace is " + std::to_string(body.size()) +
-                " bytes; this daemon accepts at most " +
-                std::to_string(config_.uploadCapBytes),
-            request_id));
-        return;
+        throw CodedError("trace_too_large",
+                         "uploaded trace is " +
+                             std::to_string(body.size()) +
+                             " bytes; this daemon accepts at most " +
+                             std::to_string(config_.uploadCapBytes));
     }
 
-    // The parsed trace must outlive this call (the submitter no
-    // longer blocks until the job runs), so the work lambda owns it
-    // through a shared_ptr.  Uploads run locally even on a
-    // coordinator: the body exists only on this node.  Parsing and
-    // registration happen *before* the result-cache lookup so a
-    // repeated upload still (re-)registers the trace for later
-    // by-digest runs even when its own result is already cached.
-    auto trace = std::make_shared<trace::Trace>();
+    // Parsing and registration happen *before* the result-cache
+    // lookup so a repeated upload still (re-)registers the trace for
+    // later by-digest runs even when its own result is already
+    // cached.  The job replays the registered resolution, which
+    // shares its records even if the repository evicts the upload.
+    trace::Trace parsed;
     try {
         telemetry::Span import_span("trace.import", "service");
         std::istringstream iss(body);
-        *trace = trace::importTraceText(iss, name, "<upload>");
-        import_span.arg("records", std::to_string(trace->size()));
+        parsed = trace::importTraceText(iss, name, "<upload>");
+        import_span.arg("records", std::to_string(parsed.size()));
     } catch (const trace::CorruptTraceError& e) {
         countImport(false, body.size(), 0);
-        done(errorResponse("bad_trace", e.what(), request_id));
-        return;
+        throw CodedError("bad_trace", e.what());
     }
-    countImport(true, body.size(), trace->size());
-    std::string trace_digest = repo_.addUpload(*trace);
+    countImport(true, body.size(), parsed.size());
+    spec.resolved = repo_.addUpload(std::move(parsed));
 
     // Content-addressed caching: re-uploading the same bytes under
     // the same config is a cache hit, so the key hashes the body,
     // not the client-chosen name (which only rides along because it
     // appears in the rendered payload).
-    store::KeyContext ctx;
-    ctx.engine = config_.engine;
-    std::string digest =
-        store::uploadKey(ctx, util::fnv1aHex(body), name,
-                         canonicalConfigKey(config), flush);
-    if (auto hit = cacheLookup(digest)) {
-        done(okResponse("upload", digest, true, *hit, request_id));
-        return;
-    }
-
-    RequestDeadline deadline = parseDeadline(request, received);
-    if (deadline.expired) {
-        done(shedExpiredAtAdmission(request_id));
-        return;
-    }
-
-    auto done_ptr =
-        std::make_shared<ResponseCallback>(std::move(done));
-    bool admitted = submitAsync(
-        [this, trace, trace_digest, config, flush,
-         name]() -> std::string {
-            // A coordinator has no pool; its uploads start their own.
-            sim::BatchOptions options;
-            options.engine = config_.engine;
-            options.jobs = executorThreads_;
-            options.pool = pool_.get();
-            Clock::time_point start = Clock::now();
-            sim::BatchOutcome batch = sim::runBatch(
-                {{trace.get(), config, flush}}, options);
-            recordJobTiming(
-                std::chrono::duration<double>(Clock::now() - start)
-                    .count(),
-                batch.report);
-            if (!batch.ok())
-                fatal(describeFailures(batch.report));
-
-            std::ostringstream oss;
-            stats::JsonWriter json(oss);
-            json.beginObject();
-            json.field("workload", name);
-            json.field("trace_digest", trace_digest);
-            json.field("flushed", flush);
-            json.field("records",
-                       static_cast<double>(trace->size()));
-            writeRunResult(json, "result", batch.results.front());
-            json.endObject();
-            return oss.str();
-        },
-        [this, digest, request_id, done_ptr](JobOutcome&& outcome) {
-            (*done_ptr)(jobResponse(true, outcome, "upload", digest,
-                                    request_id));
-        },
-        deadline.at);
-    if (!admitted)
-        (*done_ptr)(busyResponse(retryAfterMillis(), request_id));
+    spec.key = store::uploadKey(store::KeyContext{config_.engine},
+                                util::fnv1aHex(body), name,
+                                canonicalConfigKey(config), spec.flush);
+    return spec;
 }
 
 void
-Service::handleBatch(const JsonValue& request,
-                     const std::string& request_id,
-                     ResponseCallback done)
+Service::admit(JobSpec spec, const JsonValue& request,
+               Clock::time_point received,
+               const std::string& request_id,
+               const ResponseCallback& done)
 {
-    Clock::time_point received = Clock::now();
-    sim::TraceRef ref = parseTraceRef(request, "batch");
-    const JsonValue& cells = request.get("configs");
-    fatalIf(!cells.isArray() || cells.items().empty(),
-            "batch request needs a non-empty 'configs' array");
-    fatalIf(cells.items().size() > config_.batchCapCells,
-            "batch request has " +
-                std::to_string(cells.items().size()) +
-                " cells; this daemon accepts at most " +
-                std::to_string(config_.batchCapCells));
-    // Unlike run, a batch defaults flush off: its cells are sweep
-    // points, and sweeps replay without the end-of-run flush.
-    bool flush = request.getBool("flush", false);
-
-    std::vector<core::CacheConfig> configs;
-    std::vector<std::string> config_keys;
-    configs.reserve(cells.items().size());
-    config_keys.reserve(cells.items().size());
-    for (const JsonValue& cell : cells.items()) {
-        core::CacheConfig config =
-            parseCacheConfig(cell.get("config"));
-        config.validate();
-        config_keys.push_back(canonicalConfigKey(config));
-        configs.push_back(config);
-    }
-
-    sim::ResolvedTrace resolved = resolveRef(ref);
-
-    store::KeyContext ctx;
-    ctx.engine = config_.engine;
-    std::string digest = store::batchKey(ctx, resolved.identity,
-                                         config_keys, flush);
-    if (auto hit = cacheLookup(digest)) {
-        done(okResponse("batch", digest, true, *hit, request_id));
-        return;
-    }
+    if (auto hit = cacheLookup(spec.key))
+        return done(
+            okResponse(spec.type, spec.key, true, *hit, request_id));
 
     RequestDeadline deadline = parseDeadline(request, received);
-    if (deadline.expired) {
-        done(shedExpiredAtAdmission(request_id));
-        return;
-    }
+    if (deadline.expired)
+        return done(shedExpiredAtAdmission(request_id));
 
-    auto done_ptr =
-        std::make_shared<ResponseCallback>(std::move(done));
-    bool admitted = submitAsync(
-        [this, resolved, ref, configs = std::move(configs),
-         flush, at = deadline.at]() -> std::string {
-            std::vector<sim::RunResult> results = executeCells(
-                resolved, ref, configs, flush, at);
-
-            // Result elements render exactly as a sweep's: the
-            // coordinator's merge reuses the same writeRunResult
-            // round-trip that keeps served sweeps byte-identical to
-            // the offline tools.
-            std::ostringstream oss;
-            stats::JsonWriter json(oss);
-            json.beginObject();
-            json.field("workload", resolved.name);
-            json.field("trace_digest", resolved.digest);
-            json.field("flushed", flush);
-            json.beginArray("results");
-            for (const sim::RunResult& result : results) {
-                json.beginObject();
-                writeRunResult(json, "result", result);
-                json.endObject();
-            }
-            json.endArray();
-            json.endObject();
-            return oss.str();
-        },
-        [this, digest, request_id, done_ptr](JobOutcome&& outcome) {
-            (*done_ptr)(jobResponse(true, outcome, "batch", digest,
-                                    request_id));
-        },
-        deadline.at);
-    if (!admitted)
-        (*done_ptr)(busyResponse(retryAfterMillis(), request_id));
-}
-
-std::string
-Service::handlePing(const std::string& request_id)
-{
-    {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++pingRequests_;
-    }
-    std::ostringstream oss;
-    stats::JsonWriter json(oss);
-    json.beginObject();
-    json.field("ok", true);
-    json.field("type", "ping");
-    json.field("version", std::string(kVersion));
-    json.field("protocol", static_cast<double>(kProtocolVersion));
-    json.field("api_version", std::string(kApiVersion));
-    if (!request_id.empty())
-        json.field("request_id", request_id);
-    json.endObject();
-    return oss.str();
-}
-
-std::string
-Service::handleShutdown(const std::string& request_id)
-{
-    shutdown_.store(true);
-    std::ostringstream oss;
-    stats::JsonWriter json(oss);
-    json.beginObject();
-    json.field("ok", true);
-    json.field("type", "shutdown");
-    json.field("draining", true);
-    if (!request_id.empty())
-        json.field("request_id", request_id);
-    json.endObject();
-    return oss.str();
+    // The job outlives this call (the submitter does not block), so
+    // it owns its spec, whose resolution shares ownership of the
+    // records (or mapping) even if the repository evicts the upload
+    // that satisfied the ref meanwhile.
+    Job job;
+    job.spec = std::move(spec);
+    job.requestId = request_id;
+    job.reply = done;
+    job.deadline = deadline.at;
+    if (!submitAsync(std::move(job)))
+        done(busyResponse(retryAfterMillis(), request_id));
 }
 
 unsigned
@@ -1241,26 +1048,18 @@ Service::shedExpiredAtAdmission(const std::string& request_id)
 }
 
 std::string
-Service::jobResponse(bool admitted, const JobOutcome& outcome,
-                     const std::string& type,
-                     const std::string& digest,
+Service::jobResponse(const JobOutcome& outcome, const JobSpec& spec,
                      const std::string& request_id)
 {
-    if (!admitted)
-        return busyResponse(retryAfterMillis(), request_id);
-    if (outcome.shedCode == "deadline_exceeded")
-        return deadlineResponse(outcome.waitedMillis, request_id);
-    if (!outcome.shedCode.empty())
-        return busyResponse(outcome.retryAfterMillis, request_id);
     if (outcome.errorCode == "deadline_exceeded")
-        return deadlineResponse(outcome.waitedMillis, request_id);
+        return deadlineResponse(0.0, request_id);
     if (!outcome.error.empty())
         return errorResponse(outcome.errorCode.empty()
                                  ? "bad_request"
                                  : outcome.errorCode,
                              outcome.error, request_id);
-    cacheInsert(digest, outcome.payload);
-    return okResponse(type, digest, false, outcome.payload,
+    cacheInsert(spec.key, outcome.payload);
+    return okResponse(spec.type, spec.key, false, outcome.payload,
                       request_id);
 }
 
@@ -1355,17 +1154,6 @@ Service::healthPayload(const ServiceSnapshot& snap) const
 }
 
 std::string
-Service::handleHealth(const std::string& request_id)
-{
-    {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++healthRequests_;
-    }
-    return okResponse("health", "", false, healthPayload(snapshot()),
-                      request_id);
-}
-
-std::string
 Service::statsPayload(const ServiceSnapshot& snap) const
 {
     std::ostringstream oss;
@@ -1378,13 +1166,9 @@ Service::statsPayload(const ServiceSnapshot& snap) const
     writeNodeBlock(json, snap);
     json.beginObject("requests");
     json.field("total", static_cast<double>(snap.requests));
-    json.field("run", static_cast<double>(snap.runRequests));
-    json.field("sweep", static_cast<double>(snap.sweepRequests));
-    json.field("batch", static_cast<double>(snap.batchRequests));
-    json.field("upload", static_cast<double>(snap.uploadRequests));
-    json.field("stats", static_cast<double>(snap.statsRequests));
-    json.field("health", static_cast<double>(snap.healthRequests));
-    json.field("ping", static_cast<double>(snap.pingRequests));
+    for (std::size_t t = 0; t < kCountedRequestTypes.size(); ++t)
+        json.field(kCountedRequestTypes[t],
+                   static_cast<double>(snap.requestsByType[t]));
     json.field("errors", static_cast<double>(snap.errors));
     json.field("protocol_errors",
                static_cast<double>(snap.protocolErrors));
@@ -1419,8 +1203,6 @@ Service::statsPayload(const ServiceSnapshot& snap) const
                    static_cast<double>(snap.store.putBytes));
         json.field("torn_blobs",
                    static_cast<double>(snap.store.tornBlobs));
-        json.field("torn_index",
-                   static_cast<double>(snap.store.tornIndex));
     }
     json.endObject();
     json.beginObject("queue");
@@ -1469,17 +1251,6 @@ Service::statsPayload(const ServiceSnapshot& snap) const
     json.endObject();
     json.endObject();
     return oss.str();
-}
-
-std::string
-Service::handleStats(const std::string& request_id)
-{
-    {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++statsRequests_;
-    }
-    return okResponse("stats", "", false, statsPayload(snapshot()),
-                      request_id);
 }
 
 } // namespace jcache::service

@@ -43,13 +43,13 @@
 #ifndef JCACHE_SERVICE_SERVICE_HH
 #define JCACHE_SERVICE_SERVICE_HH
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -72,6 +72,14 @@ namespace jcache::service
 class JsonValue;
 
 /**
+ * The request types that the stats document counts one by one, in
+ * the order its `requests` block lists them.  Every other request
+ * (shutdown, or an unknown type) counts only in the total.
+ */
+inline constexpr std::array<const char*, 7> kCountedRequestTypes = {
+    "run", "sweep", "batch", "upload", "stats", "health", "ping"};
+
+/**
  * Point-in-time view of one Service's gauges, for the telemetry
  * exporter's scrape-time refresh (jcached samples these into registry
  * gauges) and for anything else that wants the numbers without
@@ -80,13 +88,11 @@ class JsonValue;
 struct ServiceSnapshot
 {
     std::uint64_t requests = 0;
-    std::uint64_t runRequests = 0;
-    std::uint64_t sweepRequests = 0;
-    std::uint64_t batchRequests = 0;
-    std::uint64_t uploadRequests = 0;
-    std::uint64_t statsRequests = 0;
-    std::uint64_t healthRequests = 0;
-    std::uint64_t pingRequests = 0;
+
+    /** Requests of each kCountedRequestTypes entry, by index. */
+    std::array<std::uint64_t, kCountedRequestTypes.size()>
+        requestsByType{};
+
     std::uint64_t errors = 0;
     std::uint64_t protocolErrors = 0;
 
@@ -302,6 +308,40 @@ class Service
     ServiceSnapshot snapshot() const;
 
   private:
+    using Clock = std::chrono::steady_clock;
+
+    /**
+     * One simulation request, described once by its type's describe
+     * step: what to replay, how to key the result, and the few
+     * payload fields only its type adds.
+     */
+    struct JobSpec
+    {
+        /** "run", "sweep", "batch" or "upload": the response type. */
+        std::string type;
+
+        /** The trace to replay; shares its records or mapping. */
+        sim::ResolvedTrace resolved;
+
+        /**
+         * The ref a coordinator forwards to its workers.  Empty for
+         * an upload: its body exists only on this node, so a job
+         * without a ref always runs locally.
+         */
+        sim::TraceRef ref;
+
+        std::vector<core::CacheConfig> configs;
+        bool flush = false;
+
+        /** Result-cache and store key (store/key.hh). */
+        std::string key;
+
+        /** A sweep's axis and point labels; empty for other types. */
+        std::string axis;
+        std::vector<std::string> labels;
+    };
+
+    /** What running a job produced: a payload, or an error. */
     struct JobOutcome
     {
         std::string payload;
@@ -314,88 +354,79 @@ class Service
          * coordinator outage is distinguishable from bad input.
          */
         std::string errorCode;
-
-        /**
-         * Shed reason decided at dequeue: empty when the job ran,
-         * "busy" for a CoDel shed, "deadline_exceeded" when the
-         * client's budget lapsed in the queue.
-         */
-        std::string shedCode;
-
-        /** Back-off hint accompanying a "busy" shedCode. */
-        unsigned retryAfterMillis = 0;
-
-        /** Time the job spent queued before being shed. */
-        double waitedMillis = 0.0;
     };
 
     /**
-     * One queued simulation: the scheduler fills `outcome`, then
-     * invokes `complete` exactly once (run, shed or failed).  The
-     * completion owns everything the response needs, so the
+     * One queued job.  It owns everything its response needs, so the
      * submitting thread is long gone by the time a reactor-submitted
-     * job finishes.
+     * job finishes; a scheduler thread answers it exactly once (run,
+     * shed or failed).
      */
     struct Job
     {
-        std::function<std::string()> work;
-        std::function<void(JobOutcome&&)> complete;
-        JobOutcome outcome;
+        JobSpec spec;
+        std::string requestId;
+        ResponseCallback reply;
 
         /**
          * When the submitter enqueued the job; always sampled — the
          * scheduler derives the sojourn (and the CoDel decision)
          * from it, not just the queue-wait span.
          */
-        std::chrono::steady_clock::time_point submitted{};
+        Clock::time_point submitted{};
 
         /**
          * Absolute instant the client's deadline_ms budget expires;
          * zero when the request carried no deadline.
          */
-        std::chrono::steady_clock::time_point deadline{};
+        Clock::time_point deadline{};
     };
 
-    void handleRun(const JsonValue& request,
-                   const std::string& request_id,
-                   ResponseCallback done);
-    void handleSweep(const JsonValue& request,
-                     const std::string& request_id,
-                     ResponseCallback done);
-    void handleUpload(const JsonValue& request,
-                      const std::string& request_id,
-                      ResponseCallback done);
-    void handleBatch(const JsonValue& request,
-                     const std::string& request_id,
-                     ResponseCallback done);
-    std::string handleStats(const std::string& request_id);
-    std::string handleHealth(const std::string& request_id);
-    std::string handlePing(const std::string& request_id);
-    std::string handleShutdown(const std::string& request_id);
+    /**
+     * The describe steps, one per job type: parse and validate the
+     * request, resolve its trace and derive its result key.  Each
+     * throws on a refusal, which handleAsync answers with its code.
+     */
+    JobSpec describeRun(const JsonValue& request);
+    JobSpec describeSweep(const JsonValue& request);
+    JobSpec describeBatch(const JsonValue& request);
+    JobSpec describeUpload(const JsonValue& request);
 
     /**
-     * Push `work` through the bounded queue.  Returns false when the
-     * job was shed at admission (queue full or injected overload) —
-     * `complete` is then never invoked and the caller answers busy.
-     * Otherwise `complete` fires exactly once from a scheduler
-     * thread (after the job ran, shed at dequeue, or failed).
-     * `deadline` (zero = none) rides along for the expiry check.
+     * The one admit-and-run path of every job type: answer a cache
+     * or store hit (even under an expired deadline), shed a request
+     * whose deadline lapsed before queueing, else queue the job, or
+     * answer `busy` when the queue refuses it.
      */
-    bool submitAsync(std::function<std::string()> work,
-                     std::function<void(JobOutcome&&)> complete,
-                     std::chrono::steady_clock::time_point deadline =
-                         {});
+    void admit(JobSpec spec, const JsonValue& request,
+               Clock::time_point received,
+               const std::string& request_id,
+               const ResponseCallback& done);
 
     /**
-     * Run one grid of cells: locally through sim::runBatch, or — on
-     * a coordinator — scattered over the shard pool (which forwards
-     * `ref` on the wire).  Called from a scheduler thread inside a
-     * job's work; throws FatalError (or ShardError) on failure.
+     * Push a job through the bounded queue.  Returns false when it
+     * was shed at admission (queue full or injected overload); the
+     * job is then dropped unanswered and the caller answers busy.
      */
-    std::vector<sim::RunResult> executeCells(
-        const sim::ResolvedTrace& resolved, const sim::TraceRef& ref,
-        const std::vector<core::CacheConfig>& configs, bool flush,
-        std::chrono::steady_clock::time_point deadline);
+    bool submitAsync(Job job);
+
+    /**
+     * Run one job's grid: scattered over the shard pool on a
+     * coordinator (which forwards the job's ref), else locally
+     * through sim::runBatch.  Called from a scheduler thread; throws
+     * FatalError (or CodedError) on failure.
+     */
+    std::vector<sim::RunResult> executeCells(const JobSpec& spec,
+                                             Clock::time_point deadline);
+
+    /**
+     * A job's payload document, its fields in each type's wire
+     * order: `workload` and `trace_digest`; a sweep's `axis` and
+     * `labels`, else `flushed`; an upload's `records`; then `result`
+     * for run and upload, `results` for sweep and batch.
+     */
+    static std::string renderPayload(
+        const JobSpec& spec, const std::vector<sim::RunResult>& results);
 
     /**
      * Resolve a request's trace reference, materializing the records
@@ -417,10 +448,9 @@ class Service
     /** Answer a request whose deadline lapsed before queueing. */
     std::string shedExpiredAtAdmission(const std::string& request_id);
 
-    /** Resolve outcome/busy/shed into the response for a handler. */
-    std::string jobResponse(bool admitted, const JobOutcome& outcome,
-                            const std::string& type,
-                            const std::string& digest,
+    /** The response to a job that ran; caches its payload. */
+    std::string jobResponse(const JobOutcome& outcome,
+                            const JobSpec& spec,
                             const std::string& request_id);
 
     /**
@@ -436,13 +466,11 @@ class Service
 
     void schedulerLoop();
 
-    /** Answer a dequeued job with a shed instead of running it. */
-    void shedAtDequeue(Job& job, const std::string& code,
-                       unsigned retry_after_millis,
-                       double waited_millis);
-
-    void recordJobTiming(double job_seconds,
-                         const sim::SweepReport& report);
+    /**
+     * Answer a dequeued job with a shed `response` instead of running
+     * it, counted as a deadline shed or a CoDel shed.
+     */
+    void shedAtDequeue(Job& job, bool deadline, std::string response);
 
     /** Stats/health payloads, both built from one snapshot(). */
     std::string statsPayload(const ServiceSnapshot& snap) const;
@@ -481,13 +509,8 @@ class Service
 
     mutable std::mutex stats_mutex_;
     std::uint64_t requests_ = 0;
-    std::uint64_t runRequests_ = 0;
-    std::uint64_t sweepRequests_ = 0;
-    std::uint64_t batchRequests_ = 0;
-    std::uint64_t uploadRequests_ = 0;
-    std::uint64_t statsRequests_ = 0;
-    std::uint64_t healthRequests_ = 0;
-    std::uint64_t pingRequests_ = 0;
+    std::array<std::uint64_t, kCountedRequestTypes.size()>
+        requestsByType_{};
     std::uint64_t errors_ = 0;
     std::uint64_t protocolErrors_ = 0;
     std::uint64_t rejectedBusy_ = 0;

@@ -181,7 +181,7 @@ ShardPool::execute(const sim::TraceRef& ref, bool flush,
     });
     scatter_ = nullptr;
     if (!scatter.failureCode.empty())
-        throw ShardError(scatter.failureCode,
+        throw CodedError(scatter.failureCode,
                          scatter.failureMessage);
     return std::move(scatter.results);
 }

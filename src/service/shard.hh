@@ -18,9 +18,10 @@
  * marked unhealthy and probes with pings until it recovers; `busy`
  * answers honor the daemon's retry_after_ms hint.  The scatter as a
  * whole fails only when the client deadline lapses or no worker can
- * make progress — both surface as typed ShardErrors that the service
- * maps to `deadline_exceeded` / `shard_unavailable` responses, and
- * per-worker health rides the `node` block of stats/health.
+ * make progress — both surface as CodedErrors (service/render.hh)
+ * that the service answers as `deadline_exceeded` /
+ * `shard_unavailable`, and per-worker health rides the `node` block
+ * of stats/health.
  */
 
 #ifndef JCACHE_SERVICE_SHARD_HH
@@ -40,7 +41,6 @@
 #include "net/socket.hh"
 #include "sim/engine.hh"
 #include "sim/trace_ref.hh"
-#include "util/logging.hh"
 
 namespace jcache::service
 {
@@ -106,25 +106,6 @@ struct ShardConfig
 };
 
 /**
- * A scatter failure with a machine-readable response code
- * ("shard_unavailable" or "deadline_exceeded").
- */
-class ShardError : public FatalError
-{
-  public:
-    ShardError(std::string code, const std::string& message)
-        : FatalError(message), code_(std::move(code))
-    {
-    }
-
-    /** The wire error code the service answers with. */
-    const std::string& code() const { return code_; }
-
-  private:
-    std::string code_;
-};
-
-/**
  * The coordinator's client pool: one connection thread per worker,
  * a shared chunk queue, merge in submission order.
  *
@@ -148,7 +129,7 @@ class ShardPool
      * wire (`trace_ref`, plus the legacy `workload` field for name
      * refs so pre-1.4 workers still serve them); `deadline` (zero =
      * none) becomes each worker's remaining deadline_ms budget.
-     * Throws ShardError when the grid cannot complete.
+     * Throws CodedError when the grid cannot complete.
      */
     std::vector<sim::RunResult> execute(
         const sim::TraceRef& ref, bool flush,

@@ -302,38 +302,39 @@ TraceRepository::resolveMaterialized(const TraceRef& ref)
 
     // Mapped-only: decode every block into an owned in-memory trace
     // and re-cache the materialized resolution under the same spec.
+    // openMapped() already checked the file's header digest against
+    // the requested one, so the records are not digested again.
     ResolvedTrace materialized =
-        wrapOwned(trace::materialize(*r.source));
+        wrapOwned(trace::materialize(*r.source), r.digest);
     cache_[ref.spec()] = materialized;
     return materialized;
 }
 
-std::string
+ResolvedTrace
 TraceRepository::addUpload(trace::Trace trace)
 {
     ResolvedTrace r = wrapOwned(std::move(trace));
     std::lock_guard<std::mutex> lock(mutex_);
-    std::string digest = r.digest;
-    auto it = uploads_.find(digest);
+    auto it = uploads_.find(r.digest);
     if (it != uploads_.end()) {
         // Same content re-uploaded (possibly renamed): refresh both
         // the resolution and its place in the eviction order, so an
         // actively re-uploaded trace is not the next FIFO victim.
-        it->second = std::move(r);
+        it->second = r;
         auto pos = std::find(uploadOrder_.begin(),
-                             uploadOrder_.end(), digest);
+                             uploadOrder_.end(), r.digest);
         if (pos != uploadOrder_.end())
             uploadOrder_.erase(pos);
-        uploadOrder_.push_back(digest);
-        return digest;
+        uploadOrder_.push_back(r.digest);
+        return r;
     }
-    uploads_.emplace(digest, std::move(r));
-    uploadOrder_.push_back(digest);
+    uploads_.emplace(r.digest, r);
+    uploadOrder_.push_back(r.digest);
     while (uploadOrder_.size() > config_.uploadCapacity) {
         uploads_.erase(uploadOrder_.front());
         uploadOrder_.erase(uploadOrder_.begin());
     }
-    return digest;
+    return r;
 }
 
 bool

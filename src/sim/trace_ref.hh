@@ -203,11 +203,12 @@ class TraceRepository
     ResolvedTrace resolveMaterialized(const TraceRef& ref);
 
     /**
-     * Register an uploaded trace and return its content digest (the
-     * value a digest ref resolves by).  At capacity the oldest upload
-     * is evicted; re-uploading the same content refreshes it.
+     * Register an uploaded trace and return the resolution stored for
+     * it; its digest is the value a digest ref resolves by.  At
+     * capacity the oldest upload is evicted; re-uploading the same
+     * content refreshes it.
      */
-    std::string addUpload(trace::Trace trace);
+    ResolvedTrace addUpload(trace::Trace trace);
 
     /** True when a digest ref would resolve without generating. */
     bool knowsDigest(const std::string& digest);

@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <tuple>
 #include <vector>
 
@@ -35,17 +34,6 @@ constexpr std::size_t kDigestChars = 16;
 constexpr std::size_t kBlobHeaderBytes =
     sizeof(kBlobMagic) + sizeof(std::uint32_t) +
     sizeof(std::uint64_t) + kDigestChars;
-
-constexpr const char* kIndexFormat = "jcache-store-index";
-constexpr unsigned kIndexVersion = 1;
-
-/**
- * Weighted-eviction tuning: each access (capped) is worth this many
- * recency ticks, so a repeatedly hit entry outranks up to
- * kAccessBoost * kAccessCap more recent one-shot writes.
- */
-constexpr std::uint64_t kAccessBoost = 8;
-constexpr std::uint64_t kAccessCap = 16;
 
 template <typename T>
 void
@@ -176,25 +164,10 @@ countPutBytes(std::uint64_t bytes)
 
 ResultStore::ResultStore(const StoreConfig& config) : config_(config)
 {
-    if (config_.indexEvery == 0)
-        config_.indexEvery = 1;
     util::ensureDirectory(config_.dir);
     util::ensureDirectory(
         (fs::path(config_.dir) / "objects").string());
     openScan();
-    loadIndex();
-}
-
-ResultStore::~ResultStore()
-{
-    try {
-        std::lock_guard<std::mutex> lock(mutex_);
-        util::FileLock file_lock(lockPath());
-        persistIndex();
-    } catch (...) {
-        // The index is an accelerator; a failed persist at shutdown
-        // only costs the next open a scan.
-    }
 }
 
 std::string
@@ -202,12 +175,6 @@ ResultStore::blobPath(const std::string& digest) const
 {
     return (fs::path(config_.dir) / "objects" / (digest + ".jcr"))
         .string();
-}
-
-std::string
-ResultStore::indexPath() const
-{
-    return (fs::path(config_.dir) / "index.jci").string();
 }
 
 std::string
@@ -219,7 +186,15 @@ ResultStore::lockPath() const
 void
 ResultStore::openScan()
 {
-    // Scan order must be deterministic (ticks seed the LRU rank), so
+    // A put holds the lock from its temporary to its rename, so every
+    // temporary seen under the lock belongs to a put that died.
+    util::FileLock file_lock(lockPath());
+    // A leftover index file holds access counts that no open reads;
+    // delete it so the directory holds only the documented layout.
+    std::error_code ec;
+    fs::remove(fs::path(config_.dir) / "index.jci", ec);
+
+    // Scan order must be deterministic (ticks seed the LRU order), so
     // collect first, then sort by (mtime, digest).
     std::vector<std::tuple<fs::file_time_type, std::string,
                            std::uint64_t>>
@@ -230,7 +205,6 @@ ResultStore::openScan()
         if (path.extension() == ".tmp") {
             // A put died before its rename; the tmp file was never
             // part of the store.
-            std::error_code ec;
             fs::remove(path, ec);
             continue;
         }
@@ -253,7 +227,6 @@ ResultStore::openScan()
                         path.string());
         } catch (const CorruptStoreError&) {
             ++tornBlobs_;
-            std::error_code ec;
             fs::remove(path, ec);
             continue;
         }
@@ -272,97 +245,16 @@ ResultStore::openScan()
 }
 
 void
-ResultStore::loadIndex()
-{
-    std::optional<std::string> text;
-    try {
-        text = util::readFileIfExists(indexPath());
-    } catch (const util::FsError&) {
-        ++tornIndex_;
-        return;
-    }
-    if (!text)
-        return;
-    try {
-        std::istringstream iss(*text);
-        std::string format;
-        unsigned version = 0;
-        if (!(iss >> format >> version) || format != kIndexFormat ||
-            version != kIndexVersion)
-            throw CorruptStoreError("not a store index");
-        std::size_t lines = 0;
-        std::map<std::string, std::uint64_t> accesses;
-        for (;;) {
-            std::string token;
-            if (!(iss >> token))
-                throw CorruptStoreError("truncated index");
-            if (token == "end")
-                break;
-            std::uint64_t bytes = 0, count = 0, last_use = 0;
-            if (!(iss >> bytes >> count >> last_use))
-                throw CorruptStoreError("torn index entry");
-            accesses[token] = count;
-            ++lines;
-        }
-        std::size_t claimed = 0;
-        if (!(iss >> claimed) || claimed != lines)
-            throw CorruptStoreError("index entry count mismatch");
-        // Only access counts carry over: recency was already seeded
-        // from mtimes, and bytes from the scan — the files are the
-        // truth, the index only remembers popularity.
-        for (auto& [digest, entry] : entries_) {
-            auto it = accesses.find(digest);
-            if (it != accesses.end())
-                entry.accesses = it->second;
-        }
-    } catch (const CorruptStoreError&) {
-        ++tornIndex_;
-    }
-}
-
-void
-ResultStore::persistIndex()
-{
-    std::ostringstream oss;
-    oss << kIndexFormat << ' ' << kIndexVersion << '\n';
-    for (const auto& [digest, entry] : entries_) {
-        oss << digest << ' ' << entry.bytes << ' ' << entry.accesses
-            << ' ' << entry.lastUse << '\n';
-    }
-    oss << "end " << entries_.size() << '\n';
-    try {
-        util::atomicWriteFile(indexPath(), oss.str(),
-                              "store.index.torn");
-    } catch (const util::FsError&) {
-        // Best effort: the next open rebuilds by scanning.
-    }
-}
-
-std::uint64_t
-ResultStore::rank(const Entry& entry) const
-{
-    if (config_.eviction == EvictionPolicy::Lru)
-        return entry.lastUse;
-    return entry.lastUse +
-           kAccessBoost * std::min(entry.accesses, kAccessCap);
-}
-
-void
 ResultStore::evictToFit()
 {
     if (config_.capBytes == 0)
         return;
     while (occupancy_ > config_.capBytes && !entries_.empty()) {
-        auto victim = entries_.begin();
-        std::uint64_t victim_rank = rank(victim->second);
-        for (auto it = std::next(entries_.begin());
-             it != entries_.end(); ++it) {
-            std::uint64_t r = rank(it->second);
-            if (r < victim_rank) {
-                victim = it;
-                victim_rank = r;
-            }
-        }
+        auto victim = std::min_element(
+            entries_.begin(), entries_.end(),
+            [](const auto& a, const auto& b) {
+                return a.second.lastUse < b.second.lastUse;
+            });
         std::error_code ec;
         fs::remove(blobPath(victim->first), ec);
         occupancy_ -= victim->second.bytes;
@@ -403,7 +295,6 @@ ResultStore::get(const std::string& digest)
     }
     try {
         std::string payload = decodeBlob(*blob, blobPath(digest));
-        it->second.accesses += 1;
         it->second.lastUse = ++tick_;
         ++hits_;
         countLookup(true);
@@ -437,8 +328,9 @@ ResultStore::put(const std::string& digest,
     }
     std::string path = blobPath(digest);
     // Workers sharing one store directory serialize their mutations
-    // (blob write, cap eviction, index persist) on the store's lock
-    // file, so two evictors never double-delete or double-count.
+    // (blob write, cap eviction) on the store's lock file, so two
+    // evictors never double-delete or double-count, and an opening
+    // peer never sweeps this put's temporary.
     util::FileLock file_lock(lockPath());
     if (JCACHE_FAULT("store.put.crash")) {
         // The deterministic mid-put death for recovery tests: leave
@@ -460,14 +352,8 @@ ResultStore::put(const std::string& digest,
     Entry& entry = entries_[digest];
     occupancy_ = occupancy_ - entry.bytes + blob.size();
     entry.bytes = blob.size();
-    entry.accesses += 1;
     entry.lastUse = ++tick_;
     evictToFit();
-
-    if (++putsSinceIndex_ >= config_.indexEvery) {
-        persistIndex();
-        putsSinceIndex_ = 0;
-    }
 }
 
 bool
@@ -487,7 +373,6 @@ ResultStore::stats() const
     s.evictions = evictions_;
     s.putBytes = putBytes_;
     s.tornBlobs = tornBlobs_;
-    s.tornIndex = tornIndex_;
     s.entries = entries_.size();
     s.occupancyBytes = occupancy_;
     s.capBytes = config_.capBytes;

@@ -8,34 +8,29 @@
  * quite literally, a cache of simulation results — so its design
  * borrows the paper's write-policy framing:
  *
- *  - **Writes are write-back and batched.**  A put() writes one blob
- *    atomically (util/fs.hh: tmp + fsync + rename), but the index is
- *    a pure accelerator persisted only every few puts and at close —
- *    losing it costs a directory scan on the next open, never a
- *    result.
- *  - **Eviction is size-capped with a pluggable rank.**  The default
- *    ranks by recency alone (LRU, seeded from file mtimes at open);
- *    EvictionPolicy::Weighted adds an AWRP-style frequency boost so
- *    a hot entry outlives a recently written cold one.
+ *  - **Each put writes one blob, and nothing else.**  A put() writes
+ *    its blob atomically (util/fs.hh: unique temporary + fsync +
+ *    rename).  The in-memory index is rebuilt from a scan of the
+ *    blobs at every open, so no index file is ever written.
+ *  - **Eviction is size-capped LRU**, with recency seeded from file
+ *    mtimes at open.
  *  - **Torn writes are expected, typed and tolerated.**  Every blob
  *    carries a header with its payload size and content digest; a
- *    torn blob or index (injectable via the `store.blob.torn` /
- *    `store.index.torn` fault sites) raises CorruptStoreError
- *    internally, is counted, dropped and deleted — the store always
- *    opens.
+ *    torn blob (injectable via the `store.blob.torn` fault site)
+ *    raises CorruptStoreError internally, is counted, dropped and
+ *    deleted — the store always opens.
  *
  * On-disk layout (docs/STORAGE.md):
  *
  *     <dir>/objects/<digest>.jcr   one blob per result key
- *     <dir>/index.jci              accelerator: access counts
  *     <dir>/lock                   cross-process mutation flock
  *
  * Thread-safe: one mutex serializes get/put/eviction, so concurrent
  * connection handlers and sweep workers may share an instance.
- * Cross-process safe: shard workers pointed at one directory take an
- * advisory flock on `<dir>/lock` around mutations (put + eviction +
- * index persist), and a blob evicted by a peer surfaces as a plain
- * miss on lookup, never as corruption.
+ * Cross-process safe: processes pointed at one directory take an
+ * advisory flock on `<dir>/lock` around mutations (put + eviction,
+ * and the open-time sweep of stale temporaries), and a blob evicted
+ * by a peer surfaces as a plain miss on lookup, never as corruption.
  */
 
 #ifndef JCACHE_STORE_STORE_HH
@@ -54,8 +49,8 @@ namespace jcache::store
 
 /**
  * Thrown (and caught internally) for any on-disk entry that is not a
- * well-formed store artifact: bad magic, version or size, a payload
- * whose digest does not match its header, a truncated index.  A
+ * well-formed store artifact: bad magic, version or size, or a
+ * payload whose digest does not match its header.  A
  * subtype of FatalError; it never escapes the public store API —
  * corrupt entries surface as misses plus a `torn` counter, because a
  * cache must degrade, not fail.
@@ -68,19 +63,6 @@ class CorruptStoreError : public FatalError
     {}
 };
 
-/** How the store ranks eviction victims when over its byte cap. */
-enum class EvictionPolicy : std::uint8_t
-{
-    /** Least recently used, seeded from blob mtimes at open. */
-    Lru,
-
-    /**
-     * AWRP-style weighted rank: recency plus a capped frequency
-     * boost, so repeatedly hit entries outrank one-shot writes.
-     */
-    Weighted,
-};
-
 /** Tunables of one ResultStore. */
 struct StoreConfig
 {
@@ -88,15 +70,10 @@ struct StoreConfig
     std::string dir;
 
     /**
-     * Byte cap over all resident blobs; exceeding it evicts by
-     * `eviction` until back under.  0 means unbounded.
+     * Byte cap over all resident blobs; exceeding it evicts the least
+     * recently used blobs until back under.  0 means unbounded.
      */
     std::uint64_t capBytes = 256ull << 20;
-
-    EvictionPolicy eviction = EvictionPolicy::Lru;
-
-    /** Puts between index persists; the close always persists. */
-    unsigned indexEvery = 16;
 };
 
 /** Point-in-time counters and occupancy of one store. */
@@ -111,9 +88,6 @@ struct StoreStats
 
     /** Torn/corrupt blobs dropped (at open or on lookup). */
     std::uint64_t tornBlobs = 0;
-
-    /** Torn/corrupt index files discarded at open. */
-    std::uint64_t tornIndex = 0;
 
     /** Blobs currently resident. */
     std::size_t entries = 0;
@@ -142,16 +116,13 @@ class ResultStore
 {
   public:
     /**
-     * Open (or create) the store: make the directories, sweep stale
-     * `*.tmp` files, scan `objects/` rebuilding the in-memory index
-     * (torn blobs are dropped and counted), then overlay access
-     * counts from the index file if it parses.  Throws FsError when
-     * the directory cannot be created at all.
+     * Open (or create) the store: make the directories, then, holding
+     * `<dir>/lock`, sweep stale `*.tmp` files and a leftover
+     * `index.jci`, and scan `objects/` rebuilding the in-memory index
+     * (torn blobs are dropped and counted).  Throws FsError when the
+     * directory cannot be created at all.
      */
     explicit ResultStore(const StoreConfig& config);
-
-    /** Persists the index, best effort. */
-    ~ResultStore();
 
     ResultStore(const ResultStore&) = delete;
     ResultStore& operator=(const ResultStore&) = delete;
@@ -165,7 +136,7 @@ class ResultStore
 
     /**
      * Store a payload under its digest: write the blob atomically,
-     * account it, and evict by policy while over the byte cap.  A
+     * account it, and evict LRU blobs while over the byte cap.  A
      * payload larger than the whole cap is not stored.  Re-putting
      * an existing digest refreshes it.
      *
@@ -189,32 +160,25 @@ class ResultStore
     struct Entry
     {
         std::uint64_t bytes = 0;
-        std::uint64_t accesses = 0;
 
         /** Logical recency tick; larger = more recent. */
         std::uint64_t lastUse = 0;
     };
 
     std::string blobPath(const std::string& digest) const;
-    std::string indexPath() const;
 
     /** The `<dir>/lock` flock file guarding cross-process mutation. */
     std::string lockPath() const;
 
-    /** Scan objects/, validate headers, seed recency from mtime. */
+    /**
+     * Under `<dir>/lock`: sweep stale temporaries and a leftover
+     * index file, scan objects/, validate headers, seed recency from
+     * mtime.
+     */
     void openScan();
 
-    /** Overlay access counts from index.jci; torn index tolerated. */
-    void loadIndex();
-
-    /** Atomically persist the index (site `store.index.torn`). */
-    void persistIndex();
-
-    /** Evict lowest-ranked entries until occupancy fits the cap. */
+    /** Evict least recently used entries until occupancy fits. */
     void evictToFit();
-
-    /** Eviction rank of one entry; the minimum is the victim. */
-    std::uint64_t rank(const Entry& entry) const;
 
     StoreConfig config_;
 
@@ -222,14 +186,12 @@ class ResultStore
     std::map<std::string, Entry> entries_;
     std::uint64_t occupancy_ = 0;
     std::uint64_t tick_ = 0;
-    unsigned putsSinceIndex_ = 0;
 
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t evictions_ = 0;
     std::uint64_t putBytes_ = 0;
     std::uint64_t tornBlobs_ = 0;
-    std::uint64_t tornIndex_ = 0;
 };
 
 } // namespace jcache::store

@@ -7,10 +7,12 @@
 
 #include <fcntl.h>
 #include <sys/file.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -31,34 +33,34 @@ fail(const std::string& what, const std::string& path)
                   std::strerror(errno) + ")");
 }
 
-/** Open + write + fsync + close one file; throws FsError. */
+/**
+ * Give the temporary `fd` the mode a plain open would, then write,
+ * fsync and close it; throws FsError, with `fd` closed.
+ */
 void
-writeAndSync(const std::string& path, const char* data,
+writeAndSync(int fd, const std::string& path, const char* data,
              std::size_t size)
 {
-    int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
-                    0644);
-    if (fd < 0)
-        fail("cannot open for writing", path);
+    auto fail_closing = [&](const char* what) {
+        int saved = errno;
+        ::close(fd);
+        errno = saved;
+        fail(what, path);
+    };
+    if (::fchmod(fd, 0644) != 0)
+        fail_closing("chmod failed");
     std::size_t written = 0;
     while (written < size) {
         ssize_t n = ::write(fd, data + written, size - written);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
-            int saved = errno;
-            ::close(fd);
-            errno = saved;
-            fail("write failed", path);
+            fail_closing("write failed");
         }
         written += static_cast<std::size_t>(n);
     }
-    if (::fsync(fd) != 0) {
-        int saved = errno;
-        ::close(fd);
-        errno = saved;
-        fail("fsync failed", path);
-    }
+    if (::fsync(fd) != 0)
+        fail_closing("fsync failed");
     if (::close(fd) != 0)
         fail("close failed", path);
 }
@@ -92,8 +94,18 @@ atomicWriteFile(const std::string& path, const std::string& data,
         // result as corrupt, never as a short-but-valid document.
         bytes /= 2;
     }
-    std::string tmp = path + ".tmp";
-    writeAndSync(tmp, data.data(), bytes);
+    // A temporary of its own, created exclusively: concurrent writers
+    // of one path never truncate or rename each other's file.
+    std::string tmp = path + ".XXXXXX.tmp";
+    int fd = ::mkstemps(tmp.data(), 4);
+    if (fd < 0)
+        fail("cannot create temporary", tmp);
+    try {
+        writeAndSync(fd, tmp, data.data(), bytes);
+    } catch (const FsError&) {
+        std::remove(tmp.c_str());
+        throw;
+    }
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         int saved = errno;
         std::remove(tmp.c_str());

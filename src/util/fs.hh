@@ -3,12 +3,13 @@
  * Crash-safe filesystem primitives.
  *
  * Every durable artifact in the system — saved traces, replay
- * caches, result-store blobs and indexes — follows the same write
- * discipline: write the full document to `<path>.tmp`, flush and
- * fsync it, then rename() it over the final path.  The visible file
- * is therefore always a complete document; a crash mid-write costs
- * the update, never the previous version.  This header is the one
- * implementation of that discipline.
+ * caches and result-store blobs — follows the same write discipline:
+ * write the full document to a temporary of its own beside the
+ * target, flush and fsync it, then rename() it over the final path.
+ * The visible file is therefore always a complete document; a crash
+ * mid-write costs the update, never the previous version, and two
+ * processes writing one path each rename a whole document.  This
+ * header is the one implementation of that discipline.
  *
  * Torn writes are still a real failure mode (a disk that
  * acknowledges an fsync it did not perform, a kernel crash after the
@@ -46,9 +47,12 @@ class FsError : public FatalError
 /**
  * Atomically replace `path` with `data`.
  *
- * Writes `<path>.tmp`, flushes, fsyncs, then renames over `path` and
- * best-effort fsyncs the parent directory, so the visible file is
- * always complete and the update is durable once the call returns.
+ * Writes a uniquely named temporary, `<path>.XXXXXX.tmp` (created
+ * exclusively, mode 0644), flushes, fsyncs, then renames it over
+ * `path` and best-effort fsyncs the parent directory, so the visible
+ * file is always complete and the update is durable once the call
+ * returns.  A failed call removes its temporary; a killed writer
+ * leaves it behind for the directory's owner to sweep.
  *
  * @param path       final destination; its parent must exist.
  * @param data       full contents of the new file.
@@ -78,8 +82,9 @@ void ensureDirectory(const std::string& dir);
  * RAII advisory whole-file lock (flock), for serializing mutations of
  * a directory shared between processes — several jcached workers
  * pointed at one `--store-dir` take the store's lock file around
- * eviction and index persists so concurrent evictors cannot both
- * delete and double-count the same blob.
+ * puts, eviction and the open-time sweep of stale temporaries, so
+ * concurrent evictors cannot both delete and double-count the same
+ * blob, and no open deletes the temporary of a put in flight.
  *
  * Acquisition blocks until the peer releases.  Best effort by design:
  * if the lock file cannot be opened or flocked (exotic filesystem,

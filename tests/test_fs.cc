@@ -1,15 +1,19 @@
 /**
  * @file
  * Tests for the crash-safe filesystem primitives (util/fs.hh): atomic
- * write-then-rename visibility, temp-file hygiene, the injected torn
- * write, optional reads and directory creation.
+ * write-then-rename visibility, temp-file hygiene (also with two
+ * writers of one path), the injected torn write, optional reads and
+ * directory creation.
  */
 
 #include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -46,6 +50,16 @@ class FsTest : public ::testing::Test
         return (fs::path(dir_) / name).string();
     }
 
+    /** Temporaries of any name left in the directory. */
+    std::size_t tempsLeft() const
+    {
+        std::size_t count = 0;
+        for (const auto& entry : fs::directory_iterator(dir_))
+            if (entry.path().extension() == ".tmp")
+                ++count;
+        return count;
+    }
+
     std::string dir_;
 };
 
@@ -58,12 +72,45 @@ TEST_F(FsTest, AtomicWriteRoundTripsAndLeavesNoTemp)
     auto read = util::readFileIfExists(target);
     ASSERT_TRUE(read.has_value());
     EXPECT_EQ(*read, "hello\nworld\n");
-    EXPECT_FALSE(fs::exists(target + ".tmp"));
+    EXPECT_EQ(tempsLeft(), 0u);
+    // The temporary is created private, then given the usual mode.
+    EXPECT_EQ(fs::status(target).permissions(),
+              fs::perms::owner_read | fs::perms::owner_write |
+                  fs::perms::group_read | fs::perms::others_read);
 
     // Overwrite: the newest document wins, still atomically.
     util::atomicWriteFile(target, "v2");
     EXPECT_EQ(util::readFileIfExists(target).value(), "v2");
-    EXPECT_FALSE(fs::exists(target + ".tmp"));
+    EXPECT_EQ(tempsLeft(), 0u);
+}
+
+TEST_F(FsTest, TwoWritersOfOnePathBothSucceed)
+{
+    // Each write has a temporary of its own, so two writers of one
+    // path never truncate or rename each other's file: every write
+    // succeeds and the survivor is one whole document.
+    std::string target = path("shared.bin");
+    const std::string docs[2] = {std::string(8 << 20, 'a'),
+                                 std::string(8 << 20, 'b')};
+    std::atomic<unsigned> failures{0};
+    std::vector<std::thread> writers;
+    for (const std::string& doc : docs) {
+        writers.emplace_back([&] {
+            for (int i = 0; i < 30; ++i) {
+                try {
+                    util::atomicWriteFile(target, doc);
+                } catch (const util::FsError&) {
+                    failures.fetch_add(1);
+                }
+            }
+        });
+    }
+    for (std::thread& writer : writers)
+        writer.join();
+    EXPECT_EQ(failures.load(), 0u);
+    EXPECT_EQ(tempsLeft(), 0u);
+    std::string read = util::readFileIfExists(target).value();
+    EXPECT_TRUE(read == docs[0] || read == docs[1]);
 }
 
 TEST_F(FsTest, AtomicWriteHandlesEmptyAndBinaryPayloads)
@@ -96,7 +143,7 @@ TEST_F(FsTest, InjectedTornWriteTruncatesVisibleFile)
     auto read = util::readFileIfExists(target);
     ASSERT_TRUE(read.has_value());
     EXPECT_EQ(*read, "01234");
-    EXPECT_FALSE(fs::exists(target + ".tmp"));
+    EXPECT_EQ(tempsLeft(), 0u);
 
     // An unarmed site writes the full document.
     util::atomicWriteFile(target, "0123456789", "test.fs.torn");

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the transport-independent request router
- * (service/service.hh): request validation, the run/sweep paths, the
- * result cache's digest behavior, and the stats counters.
+ * (service/service.hh): request validation, the four job types, the
+ * result cache's digest behavior, the stats counters, and the raw
+ * response bytes of every job type and refusal (a golden transcript).
  *
  * Every test drives Service::handle() directly with request documents
  * — no sockets — so failures localize to the routing layer.
@@ -14,8 +15,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
+#include <fstream>
 #include <mutex>
+#include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -74,6 +78,42 @@ runRequest(const std::string& workload, unsigned size_kb,
            "\", \"flush\": " + (flush ? "true" : "false") +
            ", \"config\": {\"size_bytes\": " +
            std::to_string(size_kb * 1024) + "}}";
+}
+
+/** A tiny but valid text-interchange body (JSON-escaped newlines). */
+const char* kMiniTrace =
+    "r 0x10000 4\\nw 0x10008 8 3\\nr 0x10010 4\\n";
+
+/** The four request types that queue simulation jobs. */
+const char* const kJobTypes[] = {"run", "sweep", "batch", "upload"};
+
+/**
+ * A small request of one job type: a run, an associativity sweep, a
+ * two-cell batch of ccom, or an upload of kMiniTrace.  `size_kb` sets
+ * the cache size, so one type can ask for two distinct results;
+ * `extra` splices in more fields, each starting with ", ".
+ */
+std::string
+jobRequest(const std::string& type, unsigned size_kb,
+           const std::string& extra = "")
+{
+    std::string size = std::to_string(size_kb * 1024);
+    std::string config = "{\"size_bytes\": " + size + "}";
+    if (type == "run")
+        return "{\"type\": \"run\", \"workload\": \"ccom\", "
+               "\"config\": " + config + extra + "}";
+    if (type == "sweep")
+        return "{\"type\": \"sweep\", \"workload\": \"ccom\", "
+               "\"axis\": \"assoc\", \"config\": " + config + extra +
+               "}";
+    if (type == "batch")
+        return "{\"type\": \"batch\", \"trace_ref\": \"name:ccom\", "
+               "\"configs\": [{\"config\": " + config +
+               "}, {\"config\": {\"size_bytes\": " + size +
+               ", \"assoc\": 2}}]" + extra + "}";
+    return "{\"type\": \"upload\", \"name\": \"mini\", \"trace\": \"" +
+           std::string(kMiniTrace) + "\", \"config\": " + config +
+           extra + "}";
 }
 
 } // namespace
@@ -380,37 +420,35 @@ TEST(Service, EchoesRequestIdOnEveryPath)
 
 TEST(Service, InjectedAdmissionFaultShedsWithRetryAfter)
 {
-    jcache::fault::configure("service.admit=always");
-    Service service(testConfig());
-    JsonValue v = parseResponse(service.handle(
-        "{\"type\": \"run\", \"workload\": \"ccom\","
-        " \"request_id\": \"shed-1\"}"));
-    jcache::fault::reset();
+    for (const char* type : kJobTypes) {
+        SCOPED_TRACE(type);
+        jcache::fault::configure("service.admit=always");
+        Service service(testConfig());
+        JsonValue v = parseResponse(service.handle(
+            jobRequest(type, 8, ", \"request_id\": \"shed-1\"")));
+        jcache::fault::reset();
 
-    EXPECT_FALSE(v.getBool("ok", true));
-    EXPECT_EQ(v.getString("code"), "busy");
-    EXPECT_EQ(v.getString("request_id"), "shed-1");
-    double hint = v.getNumber("retry_after_ms", -1.0);
-    EXPECT_GE(hint, 50.0);
-    EXPECT_LE(hint, 5000.0);
+        EXPECT_FALSE(v.getBool("ok", true));
+        EXPECT_EQ(v.getString("code"), "busy");
+        EXPECT_EQ(v.getString("request_id"), "shed-1");
+        double hint = v.getNumber("retry_after_ms", -1.0);
+        EXPECT_GE(hint, 50.0);
+        EXPECT_LE(hint, 5000.0);
 
-    // The shed shows up in health, and the service still works once
-    // the fault is cleared.
-    JsonValue health = parseResponse(
-        service.handle("{\"type\": \"health\"}"));
-    EXPECT_DOUBLE_EQ(
-        health.get("payload").get("queue").getNumber("shed", 0), 1.0);
-    JsonValue ok =
-        parseResponse(service.handle(runRequest("ccom", 4)));
-    EXPECT_TRUE(ok.getBool("ok", false)) << ok.getString("error");
+        // The shed shows up in health, and the service still works
+        // once the fault is cleared.
+        JsonValue health = parseResponse(
+            service.handle("{\"type\": \"health\"}"));
+        EXPECT_DOUBLE_EQ(
+            health.get("payload").get("queue").getNumber("shed", 0),
+            1.0);
+        JsonValue ok = parseResponse(service.handle(jobRequest(type, 4)));
+        EXPECT_TRUE(ok.getBool("ok", false)) << ok.getString("error");
+    }
 }
 
 namespace
 {
-
-/** A tiny but valid text-interchange body (JSON-escaped newlines). */
-const char* kMiniTrace =
-    "r 0x10000 4\\nw 0x10008 8 3\\nr 0x10010 4\\n";
 
 std::string
 uploadRequest(const std::string& body, const std::string& extra = "")
@@ -674,47 +712,51 @@ TEST(Service, ShedRetryHintsAreJittered)
 
 TEST(Service, ExpiredDeadlineIsShedBeforeTheQueue)
 {
-    Service service(testConfig());
-    JsonValue v = parseResponse(service.handle(
-        "{\"type\": \"run\", \"workload\": \"ccom\","
-        " \"deadline_ms\": 0, \"request_id\": \"dl-1\"}"));
-    EXPECT_FALSE(v.getBool("ok", true));
-    EXPECT_EQ(v.getString("code"), "deadline_exceeded");
-    EXPECT_EQ(v.getString("request_id"), "dl-1");
-    EXPECT_NE(v.getString("error"), "");
-    EXPECT_DOUBLE_EQ(v.getNumber("waited_ms", -1.0), 0.0);
+    for (const char* type : kJobTypes) {
+        SCOPED_TRACE(type);
+        Service service(testConfig());
+        JsonValue v = parseResponse(service.handle(jobRequest(
+            type, 4,
+            ", \"deadline_ms\": 0, \"request_id\": \"dl-1\"")));
+        EXPECT_FALSE(v.getBool("ok", true));
+        EXPECT_EQ(v.getString("code"), "deadline_exceeded");
+        EXPECT_EQ(v.getString("request_id"), "dl-1");
+        EXPECT_NE(v.getString("error"), "");
+        EXPECT_DOUBLE_EQ(v.getNumber("waited_ms", -1.0), 0.0);
 
-    // The taxonomy separates deadline sheds from busy sheds, in both
-    // health and stats.
-    JsonValue health =
-        parseResponse(service.handle("{\"type\": \"health\"}"));
-    const JsonValue& hq = health.get("payload").get("queue");
-    EXPECT_DOUBLE_EQ(hq.getNumber("shed_deadline", 0), 1.0);
-    EXPECT_DOUBLE_EQ(hq.getNumber("shed_busy", -1), 0.0);
-    EXPECT_DOUBLE_EQ(hq.getNumber("shed", 0), 1.0);
-    JsonValue stats =
-        parseResponse(service.handle("{\"type\": \"stats\"}"));
-    const JsonValue& sq = stats.get("payload").get("queue");
-    EXPECT_DOUBLE_EQ(sq.getNumber("shed_deadline", 0), 1.0);
-    EXPECT_DOUBLE_EQ(sq.getNumber("rejected_busy", -1), 0.0);
+        // The taxonomy separates deadline sheds from busy sheds, in
+        // both health and stats.
+        JsonValue health =
+            parseResponse(service.handle("{\"type\": \"health\"}"));
+        const JsonValue& hq = health.get("payload").get("queue");
+        EXPECT_DOUBLE_EQ(hq.getNumber("shed_deadline", 0), 1.0);
+        EXPECT_DOUBLE_EQ(hq.getNumber("shed_busy", -1), 0.0);
+        EXPECT_DOUBLE_EQ(hq.getNumber("shed", 0), 1.0);
+        JsonValue stats =
+            parseResponse(service.handle("{\"type\": \"stats\"}"));
+        const JsonValue& sq = stats.get("payload").get("queue");
+        EXPECT_DOUBLE_EQ(sq.getNumber("shed_deadline", 0), 1.0);
+        EXPECT_DOUBLE_EQ(sq.getNumber("rejected_busy", -1), 0.0);
+    }
 }
 
 TEST(Service, CachedResultsServeUnderAnExpiredDeadline)
 {
-    Service service(testConfig());
-    JsonValue first =
-        parseResponse(service.handle(runRequest("ccom", 4)));
-    ASSERT_TRUE(first.getBool("ok", false));
+    for (const char* type : kJobTypes) {
+        SCOPED_TRACE(type);
+        Service service(testConfig());
+        JsonValue first =
+            parseResponse(service.handle(jobRequest(type, 4)));
+        ASSERT_TRUE(first.getBool("ok", false));
 
-    // Graceful degradation: the cache lookup runs before the
-    // deadline check, so a result that needs no work is returned
-    // even when the budget is already gone.
-    JsonValue hit = parseResponse(service.handle(
-        "{\"type\": \"run\", \"workload\": \"ccom\", \"flush\": true,"
-        " \"deadline_ms\": 0,"
-        " \"config\": {\"size_bytes\": 4096}}"));
-    EXPECT_TRUE(hit.getBool("ok", false)) << hit.getString("error");
-    EXPECT_TRUE(hit.getBool("cached", false));
+        // Graceful degradation: the cache lookup runs before the
+        // deadline check, so a result that needs no work is returned
+        // even when the budget is already gone.
+        JsonValue hit = parseResponse(service.handle(
+            jobRequest(type, 4, ", \"deadline_ms\": 0")));
+        EXPECT_TRUE(hit.getBool("ok", false)) << hit.getString("error");
+        EXPECT_TRUE(hit.getBool("cached", false));
+    }
 }
 
 TEST(Service, QueuedDeadlineExpiryIsShedAtDequeue)
@@ -949,4 +991,125 @@ TEST(Service, ZeroCacheCapacityAlwaysRecomputes)
     EXPECT_FALSE(second.getBool("cached", true));
     // Same deterministic replay either way.
     EXPECT_EQ(first.getString("digest"), second.getString("digest"));
+}
+
+namespace
+{
+
+/**
+ * Compare `actual` with the committed golden file `name`.  On a
+ * mismatch the actual bytes are written to `<name>.actual` in the
+ * temporary directory, so a deliberate change can be reviewed with
+ * diff and then copied over the golden file.
+ */
+void
+expectGolden(const std::string& name, const std::string& actual)
+{
+    namespace fs = std::filesystem;
+    std::string golden_path = std::string(JCACHE_GOLDEN_DIR) + "/" + name;
+    std::optional<std::string> golden;
+    if (std::ifstream in{golden_path, std::ios::binary}) {
+        std::ostringstream text;
+        text << in.rdbuf();
+        golden = text.str();
+    }
+    if (golden && *golden == actual)
+        return;
+    std::string actual_path =
+        (fs::temp_directory_path() / (name + ".actual")).string();
+    std::ofstream(actual_path, std::ios::binary) << actual;
+    std::size_t at = 0;
+    if (golden) {
+        while (at < golden->size() && at < actual.size() &&
+               (*golden)[at] == actual[at])
+            ++at;
+    }
+    ADD_FAILURE() << (golden ? "bytes differ from " : "missing ")
+                  << golden_path << " at offset " << at
+                  << "; the actual transcript is in " << actual_path;
+}
+
+} // namespace
+
+TEST(Service, WireTranscriptMatchesTheGoldenFile)
+{
+    // The raw response bytes of every job type and refusal, pinned
+    // against tests/golden/service_wire.txt.  Each entry is the
+    // request after "> " and its response after "< ".  Result digests
+    // hash the engine version and the API minor (store/key.hh), so a
+    // kEngineVersion or kApiVersion bump changes them and this file
+    // must be regenerated; nothing else should.  ping, stats and
+    // health are left out: they carry the version string and timings.
+    std::string transcript;
+    auto send = [&](Service& service, const std::string& request) {
+        transcript += "> " + request + "\n< " +
+                      service.handle(request) + "\n";
+    };
+
+    Service service(testConfig());
+    for (const char* type : kJobTypes) {
+        std::string id = std::string(", \"request_id\": \"") + type;
+        send(service, jobRequest(type, 4, id + "-miss\""));
+        send(service, jobRequest(type, 4, id + "-hit\""));
+        send(service, jobRequest(type, 4,
+                                 ", \"deadline_ms\": 0" + id +
+                                     "-late-hit\""));
+        send(service, jobRequest(type, 16,
+                                 ", \"deadline_ms\": 0" + id +
+                                     "-late-miss\""));
+    }
+
+    // Shed at admission, each by a fresh service: the hint is the
+    // first draw of the seeded jitter around the 200 ms guess.
+    jcache::fault::configure("service.admit=always");
+    for (const char* type : kJobTypes) {
+        Service fresh(testConfig());
+        send(fresh, jobRequest(type, 8));
+    }
+    jcache::fault::reset();
+
+    // Typed refusals, every one answered before anything queues.
+    send(service, "{\"type\": \"run\", \"workload\": \"nonesuch\"}");
+    send(service, "{\"type\": \"sweep\", \"trace_ref\": "
+                  "\"digest:0123456789abcdef\", \"axis\": \"size\"}");
+    send(service, "{\"type\": \"run\", \"workload\": \"ccom\","
+                  " \"config\": {\"size_bytes\": 3000}}");
+    send(service, "{\"type\": \"sweep\", \"workload\": \"ccom\","
+                  " \"axis\": \"voltage\"}");
+    send(service, "{\"type\": \"sweep\", \"axis\": \"size\"}");
+    send(service, "{\"type\": \"batch\", \"workload\": \"ccom\","
+                  " \"configs\": []}");
+    send(service, "{\"type\": \"upload\", \"trace\": \"r 0x10 4\\n\","
+                  " \"encoding\": \"binary\"}");
+    send(service, "{\"type\": \"upload\", \"name\": \"mini\","
+                  " \"trace\": \"r 0x10 4\\nnot a record\\n\"}");
+    send(service, "{\"type\": \"run\", \"trace_ref\": "
+                  "\"path:/etc/passwd\"}");
+    send(service, "{\"type\": \"nonsense\", \"request_id\": \"t-1\"}");
+    send(service, "not json at all");
+    send(service, "[1, 2, 3]");
+    send(service, "{\"type\": \"run\", \"protocol\": 999}");
+    send(service, "{\"type\": \"run\", \"api_version\": \"2.0\"}");
+    ServiceConfig capped = testConfig();
+    capped.uploadCapBytes = 16;
+    Service small(capped);
+    send(small, jobRequest("upload", 4));
+
+    expectGolden("service_wire.txt", transcript);
+}
+
+TEST(Service, UploadRefusalsCountAsErrors)
+{
+    // Every refusal before queueing counts in stats.requests.errors,
+    // upload's trace_too_large and bad_trace included.
+    ServiceConfig config = testConfig();
+    config.uploadCapBytes = 16;
+    Service service(config);
+    expectError(service, uploadRequest(kMiniTrace), "trace_too_large");
+    expectError(service, uploadRequest("not a record\\n"), "bad_trace");
+    JsonValue stats =
+        parseResponse(service.handle("{\"type\": \"stats\"}"));
+    const JsonValue& requests = stats.get("payload").get("requests");
+    EXPECT_DOUBLE_EQ(requests.getNumber("upload", 0), 2.0);
+    EXPECT_DOUBLE_EQ(requests.getNumber("errors", -1), 2.0);
 }

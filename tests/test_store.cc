@@ -2,10 +2,10 @@
  * @file
  * Tests for the persistent content-addressed result store
  * (store/store.hh) and the canonical result keys (store/key.hh):
- * round trips, persistence across instances, torn blob/index
- * tolerance, both eviction policies, the mid-put SIGKILL recovery
- * property, key versioning (an engine or API bump must miss, never
- * alias), and a concurrent get/put stress.
+ * round trips, persistence across instances, torn blob tolerance,
+ * LRU eviction, the mid-put SIGKILL recovery property, key versioning
+ * (an engine or API bump must miss, never alias), a concurrent
+ * get/put stress, and opens of the directory racing a put.
  */
 
 #include <unistd.h>
@@ -26,7 +26,6 @@
 #include "util/fault.hh"
 
 using namespace jcache;
-using store::EvictionPolicy;
 using store::KeyContext;
 using store::ResultStore;
 using store::StoreConfig;
@@ -179,30 +178,16 @@ TEST_F(StoreTest, TornIndexIsToleratedAndRebuilt)
         ResultStore store(config_);
         store.put(key(1), "payload");
     }
-    // Truncate the index mid-document: the trailing `end <count>`
-    // sentinel is gone, so the parse must fail typed, not trusted.
+    // A torn index file left by an older store: nothing reads it, so
+    // the open deletes it instead of parsing it.
     std::string index = (fs::path(dir_) / "index.jci").string();
     std::ofstream(index, std::ios::trunc)
         << "jcache-store-index 1\n"
         << key(1) << " 40";
 
     ResultStore reopened(config_);
-    EXPECT_EQ(reopened.stats().tornIndex, 1u);
+    EXPECT_FALSE(fs::exists(index));
     // The blobs themselves are the truth; the entry is still served.
-    EXPECT_EQ(reopened.get(key(1)).value(), "payload");
-}
-
-TEST_F(StoreTest, InjectedTornIndexWriteIsToleratedAtReopen)
-{
-    {
-        ResultStore store(config_);
-        store.put(key(1), "payload");
-        fault::configure("store.index.torn=always");
-        // The destructor's index persist writes a torn document.
-    }
-    fault::reset();
-    ResultStore reopened(config_);
-    EXPECT_EQ(reopened.stats().tornIndex, 1u);
     EXPECT_EQ(reopened.get(key(1)).value(), "payload");
 }
 
@@ -244,34 +229,20 @@ TEST_F(StoreTest, LruEvictionStaysUnderCapAndDeletesFiles)
     EXPECT_EQ(blobsOnDisk(dir_), 3u);
 }
 
-TEST_F(StoreTest, WeightedEvictionKeepsHotOverRecent)
+TEST_F(StoreTest, HotBlobStillLosesToALaterPut)
 {
-    // A is hit repeatedly but B is written later; under pure LRU the
-    // victim would be A, under the AWRP-style weighted rank the cold
-    // B loses to the hot A.
+    // A is hit repeatedly but B is written later: eviction ranks by
+    // recency alone, so the victim is A however often it was hit.
     std::string payload(1000, 'p');
-    auto run = [&](EvictionPolicy policy) {
-        fs::remove_all(dir_);
-        StoreConfig config = config_;
-        config.capBytes = 2200; // fits 2 framed blobs
-        config.eviction = policy;
-        ResultStore store(config);
-        store.put(key(1), payload); // A
-        for (int i = 0; i < 16; ++i)
-            EXPECT_TRUE(store.get(key(1)).has_value());
-        store.put(key(2), payload); // B, most recent
-        store.put(key(3), payload); // overflow: someone is evicted
-        return std::pair<bool, bool>(store.contains(key(1)),
-                                     store.contains(key(2)));
-    };
-
-    auto [lru_a, lru_b] = run(EvictionPolicy::Lru);
-    EXPECT_FALSE(lru_a);
-    EXPECT_TRUE(lru_b);
-
-    auto [weighted_a, weighted_b] = run(EvictionPolicy::Weighted);
-    EXPECT_TRUE(weighted_a);
-    EXPECT_FALSE(weighted_b);
+    config_.capBytes = 2200; // fits 2 framed blobs
+    ResultStore store(config_);
+    store.put(key(1), payload); // A
+    for (int i = 0; i < 16; ++i)
+        EXPECT_TRUE(store.get(key(1)).has_value());
+    store.put(key(2), payload); // B, most recent
+    store.put(key(3), payload); // overflow: someone is evicted
+    EXPECT_FALSE(store.contains(key(1)));
+    EXPECT_TRUE(store.contains(key(2)));
 }
 
 TEST_F(StoreTest, OversizedPayloadIsNotStored)
@@ -359,6 +330,38 @@ TEST_F(StoreTest, ConcurrentGetPutEvictIsSafe)
     store::StoreStats stats = store.stats();
     EXPECT_LE(stats.occupancyBytes, stats.capBytes);
     EXPECT_EQ(stats.entries, blobsOnDisk(dir_));
+}
+
+TEST_F(StoreTest, ReopenDuringPutsNeverSweepsAPutInFlight)
+{
+    // A second store on the same directory takes its own flock, so
+    // one process stands in for two: the peer's opens sweep stale
+    // temporaries, and must never sweep the temporary of a put that
+    // is still in flight.
+    ResultStore writer(config_);
+    std::atomic<bool> stop{false};
+    std::thread reopener([&] {
+        while (!stop.load())
+            ResultStore peer(config_);
+    });
+    const std::string payload(64 * 1024, 'r');
+    unsigned failures = 0;
+    for (unsigned i = 0; i < 200; ++i) {
+        try {
+            writer.put(key(i), payload);
+        } catch (const FatalError& e) {
+            ADD_FAILURE() << "put " << i << ": " << e.what();
+            ++failures;
+        }
+    }
+    stop.store(true);
+    reopener.join();
+    EXPECT_EQ(failures, 0u);
+    EXPECT_EQ(writer.stats().entries, 200u);
+    EXPECT_EQ(blobsOnDisk(dir_), 200u);
+    for (const auto& entry :
+         fs::directory_iterator(fs::path(dir_) / "objects"))
+        EXPECT_NE(entry.path().extension(), ".tmp");
 }
 
 // --- Canonical result keys -------------------------------------------

@@ -168,8 +168,8 @@ TEST(TraceRepository, UploadsResolveByDigestAndEvictFifo)
     config.uploadCapacity = 2;
     TraceRepository repo(config);
 
-    std::string first = repo.addUpload(miniTrace("first", 8));
-    std::string second = repo.addUpload(miniTrace("second", 12));
+    std::string first = repo.addUpload(miniTrace("first", 8)).digest;
+    std::string second = repo.addUpload(miniTrace("second", 12)).digest;
     ASSERT_EQ(first.size(), 16u);
     EXPECT_NE(first, second);
     EXPECT_TRUE(repo.knowsDigest(first));
@@ -181,8 +181,8 @@ TEST(TraceRepository, UploadsResolveByDigestAndEvictFifo)
 
     // Re-uploading refreshes rather than duplicating, so the third
     // distinct upload evicts `second` (now the oldest), not `first`.
-    EXPECT_EQ(repo.addUpload(miniTrace("first", 8)), first);
-    std::string third = repo.addUpload(miniTrace("third", 16));
+    EXPECT_EQ(repo.addUpload(miniTrace("first", 8)).digest, first);
+    std::string third = repo.addUpload(miniTrace("third", 16)).digest;
     EXPECT_TRUE(repo.knowsDigest(first));
     EXPECT_TRUE(repo.knowsDigest(third));
     EXPECT_FALSE(repo.knowsDigest(second));
@@ -214,6 +214,8 @@ TEST(TraceRepository, CacheDirMapsDigestsAndReusesNames)
         repo.resolveMaterialized(TraceRef::byDigest(digest));
     ASSERT_NE(materialized.trace, nullptr);
     EXPECT_EQ(materialized.trace->records(), t.records());
+    EXPECT_EQ(materialized.digest, mapped.digest);
+    EXPECT_EQ(materialized.identity, mapped.identity);
 
     // A generating repository writes the cache files once; a second
     // repository then serves the name from the cache directory via
