@@ -19,6 +19,7 @@
 #include "telemetry/trace_writer.hh"
 #include "util/digest.hh"
 #include "util/fault.hh"
+#include "util/fs.hh"
 #include "util/logging.hh"
 #include "util/version.hh"
 
@@ -618,8 +619,15 @@ Service::cacheInsert(const std::string& digest,
                      const std::string& payload)
 {
     cache_.insert(digest, payload);
-    if (store_)
+    if (!store_)
+        return;
+    try {
         store_->put(digest, payload);
+    } catch (const util::FsError&) {
+        // The result is computed and held in memory; a store that
+        // cannot take it costs persistence only, and counted the
+        // failure in its put_failures.
+    }
 }
 
 std::size_t
@@ -1203,6 +1211,8 @@ Service::statsPayload(const ServiceSnapshot& snap) const
                    static_cast<double>(snap.store.putBytes));
         json.field("torn_blobs",
                    static_cast<double>(snap.store.tornBlobs));
+        json.field("put_failures",
+                   static_cast<double>(snap.store.putFailures));
     }
     json.endObject();
     json.beginObject("queue");

@@ -460,7 +460,10 @@ class Service
      */
     std::optional<std::string> cacheLookup(const std::string& digest);
 
-    /** Insert into the memory cache and (when open) the store. */
+    /**
+     * Insert into the memory cache and (when open) the store.  A
+     * store put that fails is counted by the store and swallowed.
+     */
     void cacheInsert(const std::string& digest,
                      const std::string& payload);
 

@@ -39,8 +39,23 @@ makeConfig(Count size, unsigned line, WriteHitPolicy hit,
     return config;
 }
 
+/** A figure's title, x axis and x labels; no series yet. */
+template <typename X>
+FigureData
+emptyFigure(const std::string& title, const std::string& x_axis,
+            const std::vector<X>& xs,
+            const std::function<std::string(X)>& x_label)
+{
+    FigureData figure;
+    figure.title = title;
+    figure.xAxis = x_axis;
+    for (X x : xs)
+        figure.xLabels.push_back(x_label(x));
+    return figure;
+}
+
 /**
- * Per-benchmark sweep over one axis; metric(trace, x) -> value.
+ * Per-benchmark sweep over one axis; metric(trace index, x) -> value.
  *
  * The (trace x x) grid fans out over the parallel executor; values
  * land in grid-index order, so the figure is identical to a serial
@@ -53,23 +68,17 @@ sweep(const std::string& title, const std::string& x_axis,
       const std::function<std::string(X)>& x_label,
       const TraceSet& traces, Metric metric)
 {
-    FigureData figure;
-    figure.title = title;
-    figure.xAxis = x_axis;
-    for (X x : xs)
-        figure.xLabels.push_back(x_label(x));
-
-    const std::vector<trace::Trace>& ts = traces.traces();
+    FigureData figure = emptyFigure(title, x_axis, xs, x_label);
     std::size_t nx = xs.size();
-    std::vector<double> values(ts.size() * nx);
+    std::vector<double> values(traces.size() * nx);
     ParallelExecutor().runTasks(values.size(), [&](std::size_t i) {
-        values[i] = metric(ts[i / nx], xs[i % nx]);
+        values[i] = metric(i / nx, xs[i % nx]);
         return Count{0};
     });
 
-    for (std::size_t ti = 0; ti < ts.size(); ++ti) {
+    for (std::size_t ti = 0; ti < traces.size(); ++ti) {
         Series series;
-        series.label = ts[ti].name();
+        series.label = traces.traces()[ti].name();
         series.values.assign(values.begin() + ti * nx,
                              values.begin() + (ti + 1) * nx);
         figure.series.push_back(std::move(series));
@@ -79,10 +88,31 @@ sweep(const std::string& title, const std::string& x_axis,
 }
 
 /**
+ * Run a figure's (trace x config) grid as one batch through the
+ * unified engine, so under the default one-pass engine every trace is
+ * decoded once for the whole figure.  The result of trace `ti` under
+ * config `ci` is at `ti * configs.size() + ci`.
+ */
+std::vector<RunResult>
+runGrid(const TraceSet& traces, const std::vector<CacheConfig>& configs,
+        bool flush_at_end)
+{
+    std::vector<Request> requests;
+    requests.reserve(traces.size() * configs.size());
+    for (const trace::Trace& t : traces.traces()) {
+        for (const CacheConfig& config : configs)
+            requests.push_back({&t, config, flush_at_end});
+    }
+    BatchOutcome outcome = runBatch(requests);
+    if (!outcome.ok())
+        fatal("figure batch failed: " +
+              outcome.report.failures.front().message);
+    return std::move(outcome.results);
+}
+
+/**
  * Per-benchmark sweep whose metric is a pure function of one
- * RunResult.  The whole (trace x x) grid goes through the unified
- * engine as a single batch, so under the default one-pass engine
- * every trace is decoded once for the entire figure.
+ * RunResult; the whole (trace x x) grid is one runGrid.
  */
 template <typename X>
 FigureData
@@ -94,29 +124,19 @@ resultSweep(const std::string& title, const std::string& x_axis,
             const std::function<double(const RunResult&)>& metric,
             bool flush_at_end = false)
 {
-    FigureData figure;
-    figure.title = title;
-    figure.xAxis = x_axis;
+    FigureData figure = emptyFigure(title, x_axis, xs, x_label);
+    std::vector<CacheConfig> configs;
     for (X x : xs)
-        figure.xLabels.push_back(x_label(x));
-
-    std::vector<Request> requests;
-    for (const trace::Trace& t : traces.traces()) {
-        for (X x : xs)
-            requests.push_back({&t, config_for(x), flush_at_end});
-    }
-    BatchOutcome outcome = runBatch(requests);
-    if (!outcome.ok())
-        fatal("figure sweep failed: " +
-              outcome.report.failures.front().message);
+        configs.push_back(config_for(x));
+    std::vector<RunResult> results =
+        runGrid(traces, configs, flush_at_end);
 
     std::size_t nx = xs.size();
     for (std::size_t ti = 0; ti < traces.size(); ++ti) {
         Series series;
         series.label = traces.traces()[ti].name();
         for (std::size_t xi = 0; xi < nx; ++xi)
-            series.values.push_back(
-                metric(outcome.results[ti * nx + xi]));
+            series.values.push_back(metric(results[ti * nx + xi]));
         figure.series.push_back(std::move(series));
     }
     appendAverage(figure);
@@ -162,8 +182,35 @@ wbByLine()
     };
 }
 
-/** The three no-fetch write-miss policies, in paper order. */
-const std::vector<WriteMissPolicy> kNoFetchPolicies = {
+/** Fraction of a trace's writes removed by an n-entry write cache. */
+double
+writeCacheRemovalPct(const trace::Trace& t, unsigned entries)
+{
+    if (entries == 0)
+        return 0.0;
+    core::WriteCache wc(entries, 8, nullptr);
+    for (const trace::TraceRecord& record : t) {
+        if (record.type == trace::RefType::Write)
+            wc.writeThrough(record.addr, record.size);
+    }
+    return 100.0 * wc.fractionRemoved();
+}
+
+std::vector<unsigned>
+writeCacheEntryAxis()
+{
+    std::vector<unsigned> entries;
+    for (unsigned n = 0; n <= 16; ++n)
+        entries.push_back(n);
+    return entries;
+}
+
+/**
+ * The four write-miss policies: the fetch-on-write baseline, then the
+ * three no-fetch policies in paper order.
+ */
+const std::vector<WriteMissPolicy> kMissPolicies = {
+    WriteMissPolicy::FetchOnWrite,
     WriteMissPolicy::WriteValidate,
     WriteMissPolicy::WriteAround,
     WriteMissPolicy::WriteInvalidate,
@@ -191,40 +238,26 @@ missReductionSweep(const std::string& figure_name,
                                                    WriteMissPolicy)>&
                        config_for)
 {
-    // Grid: trace-major, then x, then policy (baseline + the three
-    // no-fetch policies).
-    std::vector<WriteMissPolicy> policies{
-        WriteMissPolicy::FetchOnWrite};
-    policies.insert(policies.end(), kNoFetchPolicies.begin(),
-                    kNoFetchPolicies.end());
-    std::vector<Request> requests;
-    for (const trace::Trace& t : traces.traces()) {
-        for (X x : xs) {
-            for (WriteMissPolicy p : policies)
-                requests.push_back({&t, config_for(x, p), false});
-        }
+    // Configs: x-major, then policy.
+    std::vector<CacheConfig> configs;
+    for (X x : xs) {
+        for (WriteMissPolicy p : kMissPolicies)
+            configs.push_back(config_for(x, p));
     }
-    BatchOutcome outcome = runBatch(requests);
-    if (!outcome.ok())
-        fatal("miss-reduction sweep failed: " +
-              outcome.report.failures.front().message);
+    std::vector<RunResult> results = runGrid(traces, configs, false);
 
-    std::size_t np = policies.size();
+    std::size_t np = kMissPolicies.size();
     std::size_t nx = xs.size();
     auto at = [&](std::size_t ti, std::size_t xi,
                   std::size_t pi) -> const RunResult& {
-        return outcome.results[ti * nx * np + xi * np + pi];
+        return results[ti * configs.size() + xi * np + pi];
     };
 
     std::vector<FigureData> result;
     for (std::size_t pi = 1; pi < np; ++pi) {
-        FigureData figure;
-        figure.title = figure_name + " — " +
-                       core::name(policies[pi]);
-        figure.xAxis = x_axis;
-        for (X x : xs)
-            figure.xLabels.push_back(x_label(x));
-
+        FigureData figure =
+            emptyFigure(figure_name + " — " + core::name(kMissPolicies[pi]),
+                        x_axis, xs, x_label);
         for (std::size_t ti = 0; ti < traces.size(); ++ti) {
             Series series;
             series.label = traces.traces()[ti].name();
@@ -379,63 +412,14 @@ figure5WriteBufferSweep(const TraceSet& traces)
 
     // Reference line: percent merged by a 6-entry write cache.
     double wc_sum = 0.0;
-    for (const trace::Trace& t : traces.traces()) {
-        core::WriteCache wc(6, 8, nullptr);
-        for (const trace::TraceRecord& record : t) {
-            if (record.type == trace::RefType::Write)
-                wc.writeThrough(record.addr, record.size);
-        }
-        wc_sum += 100.0 * wc.fractionRemoved();
-    }
+    for (const trace::Trace& t : traces.traces())
+        wc_sum += writeCacheRemovalPct(t, 6);
     Series reference{"% merged by 6-entry write cache", {}};
     reference.values.assign(
         retires.size(), wc_sum / static_cast<double>(traces.size()));
     figure.series.push_back(std::move(reference));
     return figure;
 }
-
-namespace
-{
-
-/** Fraction of a trace's writes removed by an n-entry write cache. */
-double
-writeCacheRemovalPct(const trace::Trace& t, unsigned entries)
-{
-    if (entries == 0)
-        return 0.0;
-    core::WriteCache wc(entries, 8, nullptr);
-    for (const trace::TraceRecord& record : t) {
-        if (record.type == trace::RefType::Write)
-            wc.writeThrough(record.addr, record.size);
-    }
-    return 100.0 * wc.fractionRemoved();
-}
-
-/**
- * Percent of writes a direct-mapped write-back cache removes
- * (= writes to already-dirty lines, whole-line write-backs).
- */
-double
-writeBackRemovalPct(const trace::Trace& t, Count size)
-{
-    RunResult r = runOne(
-        {&t,
-         makeConfig(size, kBaseLineSize, WriteHitPolicy::WriteBack,
-                    WriteMissPolicy::FetchOnWrite),
-         false});
-    return r.percentWritesToDirtyLines();
-}
-
-std::vector<unsigned>
-writeCacheEntryAxis()
-{
-    std::vector<unsigned> entries;
-    for (unsigned n = 0; n <= 16; ++n)
-        entries.push_back(n);
-    return entries;
-}
-
-} // namespace
 
 FigureData
 figure7WriteCacheAbsolute(const TraceSet& traces)
@@ -444,24 +428,30 @@ figure7WriteCacheAbsolute(const TraceSet& traces)
         "Figure 7: write cache absolute traffic reduction",
         "write-cache entries (8B)", writeCacheEntryAxis(),
         [](unsigned n) { return std::to_string(n); }, traces,
-        [](const trace::Trace& t, unsigned entries) {
-            return writeCacheRemovalPct(t, entries);
+        [&traces](std::size_t ti, unsigned entries) {
+            return writeCacheRemovalPct(traces.traces()[ti], entries);
         });
 }
 
 FigureData
 figure8WriteCacheRelative(const TraceSet& traces)
 {
+    // The 4KB write-back cell each trace is compared against; its
+    // percent of writes to dirty lines is the writes it removes.
+    std::vector<RunResult> wb =
+        runGrid(traces, {wbBySize()(4 * 1024)}, false);
     return sweep<unsigned>(
         "Figure 8: write cache reduction relative to a 4KB "
         "write-back cache",
         "write-cache entries (8B)", writeCacheEntryAxis(),
         [](unsigned n) { return std::to_string(n); }, traces,
-        [](const trace::Trace& t, unsigned entries) {
-            double wb = writeBackRemovalPct(t, 4 * 1024);
-            if (wb == 0.0)
+        [&](std::size_t ti, unsigned entries) {
+            double removed = wb[ti].percentWritesToDirtyLines();
+            if (removed == 0.0)
                 return 0.0;
-            return 100.0 * writeCacheRemovalPct(t, entries) / wb;
+            return 100.0 *
+                writeCacheRemovalPct(traces.traces()[ti], entries) /
+                removed;
         });
 }
 
@@ -472,24 +462,35 @@ figure9WriteCacheVsWbSize(const TraceSet& traces)
     figure.title = "Figure 9: relative traffic reduction of a write "
                    "cache vs write-back cache size";
     figure.xAxis = "write-back cache size";
-    std::vector<Count> sizes;
-    for (Count kb = 1; kb <= 64; kb *= 2)
-        sizes.push_back(kb * 1024);
-    for (Count s : sizes)
-        figure.xLabels.push_back(stats::formatSize(s));
+    std::vector<CacheConfig> configs;
+    for (Count kb = 1; kb <= 64; kb *= 2) {
+        configs.push_back(wbBySize()(kb * 1024));
+        figure.xLabels.push_back(stats::formatSize(kb * 1024));
+    }
+    std::vector<RunResult> wb = runGrid(traces, configs, false);
 
-    for (unsigned entries : {15u, 5u, 1u}) {
+    // Each (entries, trace) write cache replays once, for every size.
+    const std::vector<unsigned> entries = {15, 5, 1};
+    std::size_t nt = traces.size();
+    std::vector<double> wc;
+    for (unsigned n : entries)
+        for (const trace::Trace& t : traces.traces())
+            wc.push_back(writeCacheRemovalPct(t, n));
+
+    for (std::size_t ei = 0; ei < entries.size(); ++ei) {
         Series series;
-        series.label = std::to_string(entries) + " entry write cache";
-        for (Count size : sizes) {
+        series.label =
+            std::to_string(entries[ei]) + " entry write cache";
+        for (std::size_t si = 0; si < configs.size(); ++si) {
             double sum = 0.0;
-            for (const trace::Trace& t : traces.traces()) {
-                double wb = writeBackRemovalPct(t, size);
-                double wc = writeCacheRemovalPct(t, entries);
-                sum += wb > 0.0 ? 100.0 * wc / wb : 0.0;
+            for (std::size_t ti = 0; ti < nt; ++ti) {
+                double removed = wb[ti * configs.size() + si]
+                                     .percentWritesToDirtyLines();
+                sum += removed > 0.0
+                    ? 100.0 * wc[ei * nt + ti] / removed
+                    : 0.0;
             }
-            series.values.push_back(
-                sum / static_cast<double>(traces.size()));
+            series.values.push_back(sum / static_cast<double>(nt));
         }
         figure.series.push_back(std::move(series));
     }
@@ -579,31 +580,14 @@ verifyFigure17PartialOrder(const TraceSet& traces, Count cache_size,
 {
     // All four policies per trace in one batch: write-through caches
     // throughout, so every policy is legal and comparisons are
-    // policy-only.  Under the one-pass engine each trace is decoded
-    // once for its four lanes.
-    const std::vector<WriteMissPolicy> policies = {
-        WriteMissPolicy::FetchOnWrite,
-        WriteMissPolicy::WriteValidate,
-        WriteMissPolicy::WriteAround,
-        WriteMissPolicy::WriteInvalidate,
-    };
-    std::vector<Request> requests;
-    for (const trace::Trace& t : traces.traces()) {
-        for (WriteMissPolicy miss : policies) {
-            requests.push_back(
-                {&t,
-                 makeConfig(cache_size, line_bytes,
-                            WriteHitPolicy::WriteThrough, miss),
-                 false});
-        }
-    }
-    BatchOutcome outcome = runBatch(requests);
-    if (!outcome.ok())
-        fatal("figure 17 sweep failed: " +
-              outcome.report.failures.front().message);
+    // policy-only.
+    std::vector<CacheConfig> configs;
+    for (WriteMissPolicy miss : kMissPolicies)
+        configs.push_back(makeConfig(cache_size, line_bytes,
+                                     WriteHitPolicy::WriteThrough, miss));
+    std::vector<RunResult> results = runGrid(traces, configs, false);
     auto misses = [&](std::size_t ti, std::size_t pi) {
-        return outcome.results[ti * policies.size() + pi]
-            .cache.countedMisses();
+        return results[ti * configs.size() + pi].cache.countedMisses();
     };
 
     bool ok = true;
@@ -644,28 +628,14 @@ trafficComponents(const std::string& title, const std::string& x_axis,
                                                   WriteHitPolicy)>&
                       config_for)
 {
-    FigureData figure;
-    figure.title = title;
-    figure.xAxis = x_axis;
-    for (X x : xs)
-        figure.xLabels.push_back(x_label(x));
-
-    // Batch: trace-major, then x, then hit policy (WT, WB).
-    std::vector<Request> requests;
-    for (const trace::Trace& t : traces.traces()) {
-        for (X x : xs) {
-            requests.push_back(
-                {&t, config_for(x, WriteHitPolicy::WriteThrough),
-                 false});
-            requests.push_back(
-                {&t, config_for(x, WriteHitPolicy::WriteBack),
-                 false});
-        }
+    FigureData figure = emptyFigure(title, x_axis, xs, x_label);
+    // Configs: x-major, then hit policy (WT, WB).
+    std::vector<CacheConfig> configs;
+    for (X x : xs) {
+        configs.push_back(config_for(x, WriteHitPolicy::WriteThrough));
+        configs.push_back(config_for(x, WriteHitPolicy::WriteBack));
     }
-    BatchOutcome outcome = runBatch(requests);
-    if (!outcome.ok())
-        fatal("traffic sweep failed: " +
-              outcome.report.failures.front().message);
+    std::vector<RunResult> results = runGrid(traces, configs, false);
 
     std::size_t nx = xs.size();
     Series wt{"write-through", {}};
@@ -676,9 +646,9 @@ trafficComponents(const std::string& title, const std::string& x_axis,
         double wt_sum = 0, wb_sum = 0, wm_sum = 0, rm_sum = 0;
         for (std::size_t ti = 0; ti < traces.size(); ++ti) {
             const RunResult& r_wt =
-                outcome.results[ti * nx * 2 + xi * 2];
+                results[ti * configs.size() + xi * 2];
             const RunResult& r_wb =
-                outcome.results[ti * nx * 2 + xi * 2 + 1];
+                results[ti * configs.size() + xi * 2 + 1];
             wt_sum += r_wt.transactionsPerInstruction();
             wb_sum += r_wb.transactionsPerInstruction();
             wm_sum += stats::ratio(r_wb.cache.writeMissFetches,
@@ -695,21 +665,6 @@ trafficComponents(const std::string& title, const std::string& x_axis,
     figure.series = {std::move(wt), std::move(wb), std::move(wm),
                      std::move(rm)};
     return figure;
-}
-
-/** Shared implementation of the dirty-victim sweeps (Figures 20-25). */
-template <typename X>
-FigureData
-victimSweep(const std::string& title, const std::string& x_axis,
-            const std::vector<X>& xs,
-            const std::function<std::string(X)>& x_label,
-            const TraceSet& traces,
-            const std::function<CacheConfig(X)>& config_for,
-            const std::function<double(const RunResult&)>& metric)
-{
-    return resultSweep<X>(title, x_axis, xs, x_label, traces,
-                          config_for, metric,
-                          /*flush_at_end=*/true);
 }
 
 } // namespace
@@ -744,80 +699,80 @@ FigureData
 figure20VictimsDirtyVsCacheSize(const TraceSet& traces,
                                 bool flush_stop)
 {
-    return victimSweep<Count>(
+    return resultSweep<Count>(
         std::string("Figure 20: percent of victims dirty vs cache "
                     "size, 16B lines (") +
             (flush_stop ? "flush stop)" : "cold stop)"),
         "cache size", standardCacheSizes(), sizeLabel(), traces,
         wbBySize(), [flush_stop](const RunResult& r) {
             return r.percentVictimsDirty(flush_stop);
-        });
+        }, /*flush_at_end=*/true);
 }
 
 FigureData
 figure21BytesDirtyInDirtyVictimVsCacheSize(const TraceSet& traces,
                                            bool flush_stop)
 {
-    return victimSweep<Count>(
+    return resultSweep<Count>(
         std::string("Figure 21: percent of bytes dirty in a dirty "
                     "victim vs cache size, 16B lines (") +
             (flush_stop ? "flush stop)" : "cold stop)"),
         "cache size", standardCacheSizes(), sizeLabel(), traces,
         wbBySize(), [flush_stop](const RunResult& r) {
             return r.percentBytesDirtyInDirtyVictims(flush_stop);
-        });
+        }, /*flush_at_end=*/true);
 }
 
 FigureData
 figure22BytesDirtyPerVictimVsCacheSize(const TraceSet& traces)
 {
-    return victimSweep<Count>(
+    return resultSweep<Count>(
         "Figure 22: percent of bytes dirty per victim vs cache size, "
         "16B lines (flush stop)",
         "cache size", standardCacheSizes(), sizeLabel(), traces,
         wbBySize(), [](const RunResult& r) {
             return r.percentBytesDirtyPerVictim(true);
-        });
+        }, /*flush_at_end=*/true);
 }
 
 FigureData
 figure23VictimsDirtyVsLineSize(const TraceSet& traces,
                                bool flush_stop)
 {
-    return victimSweep<unsigned>(
+    return resultSweep<unsigned>(
         std::string("Figure 23: percent of victims dirty vs line "
                     "size, 8KB caches (") +
             (flush_stop ? "flush stop)" : "cold stop)"),
         "line size", standardLineSizes(), lineLabel(), traces,
         wbByLine(), [flush_stop](const RunResult& r) {
             return r.percentVictimsDirty(flush_stop);
-        });
+        }, /*flush_at_end=*/true);
 }
 
 FigureData
 figure24BytesDirtyInDirtyVictimVsLineSize(const TraceSet& traces,
                                           bool flush_stop)
 {
-    return victimSweep<unsigned>(
+    return resultSweep<unsigned>(
         std::string("Figure 24: percent of bytes dirty in a dirty "
                     "victim vs line size, 8KB caches (") +
             (flush_stop ? "flush stop)" : "cold stop)"),
         "line size", standardLineSizes(), lineLabel(), traces,
         wbByLine(), [flush_stop](const RunResult& r) {
             return r.percentBytesDirtyInDirtyVictims(flush_stop);
-        });
+        }, /*flush_at_end=*/true);
 }
 
 FigureData
 figure25BytesDirtyPerVictimVsLineSize(const TraceSet& traces)
 {
-    return victimSweep<unsigned>(
+    return resultSweep<unsigned>(
         "Figure 25: percent of bytes dirty per victim vs line size, "
         "8KB caches (flush stop)",
         "line size", standardLineSizes(), lineLabel(), traces,
         wbByLine(), [](const RunResult& r) {
             return r.percentBytesDirtyPerVictim(true);
-        });
+        }, /*flush_at_end=*/true);
 }
 
 std::vector<std::pair<std::string, trace::TraceSummary>>

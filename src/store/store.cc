@@ -160,6 +160,18 @@ countPutBytes(std::uint64_t bytes)
     put_bytes.inc(bytes);
 }
 
+void
+countPutFailure()
+{
+    if (!telemetry::armed())
+        return;
+    static telemetry::Counter& failures =
+        telemetry::Registry::instance().counter(
+            "jcache_store_put_failures_total",
+            "Result-store puts whose blob could not be written");
+    failures.inc();
+}
+
 } // namespace
 
 ResultStore::ResultStore(const StoreConfig& config) : config_(config)
@@ -345,7 +357,13 @@ ResultStore::put(const std::string& digest,
         ofs.flush();
         std::raise(SIGKILL);
     }
-    util::atomicWriteFile(path, blob, "store.blob.torn");
+    try {
+        util::atomicWriteFile(path, blob, "store.blob.torn");
+    } catch (const util::FsError&) {
+        ++putFailures_;
+        countPutFailure();
+        throw;
+    }
     putBytes_ += blob.size();
     countPutBytes(blob.size());
 
@@ -373,6 +391,7 @@ ResultStore::stats() const
     s.evictions = evictions_;
     s.putBytes = putBytes_;
     s.tornBlobs = tornBlobs_;
+    s.putFailures = putFailures_;
     s.entries = entries_.size();
     s.occupancyBytes = occupancy_;
     s.capBytes = config_.capBytes;

@@ -89,6 +89,9 @@ struct StoreStats
     /** Torn/corrupt blobs dropped (at open or on lookup). */
     std::uint64_t tornBlobs = 0;
 
+    /** Puts whose blob could not be written (put() threw FsError). */
+    std::uint64_t putFailures = 0;
+
     /** Blobs currently resident. */
     std::size_t entries = 0;
 
@@ -138,7 +141,10 @@ class ResultStore
      * Store a payload under its digest: write the blob atomically,
      * account it, and evict LRU blobs while over the byte cap.  A
      * payload larger than the whole cap is not stored.  Re-putting
-     * an existing digest refreshes it.
+     * an existing digest refreshes it.  A blob that cannot be
+     * written (full disk, a removed `objects/`) leaves the store as
+     * it was, counts in StoreStats::putFailures and rethrows the
+     * FsError.
      *
      * Fault sites: `store.put.crash` SIGKILLs mid-put (after the
      * temporary file, before the rename) — the crash-recovery
@@ -192,6 +198,7 @@ class ResultStore
     std::uint64_t evictions_ = 0;
     std::uint64_t putBytes_ = 0;
     std::uint64_t tornBlobs_ = 0;
+    std::uint64_t putFailures_ = 0;
 };
 
 } // namespace jcache::store

@@ -679,6 +679,42 @@ TEST(Service, StoreServesResultsAcrossInstances)
     fs::remove_all(dir);
 }
 
+TEST(Service, FailedStorePutStillAnswersTheRun)
+{
+    namespace fs = std::filesystem;
+    std::string dir =
+        (fs::temp_directory_path() /
+         ("jcache_service_put_failure_" + std::to_string(::getpid())))
+            .string();
+    fs::remove_all(dir);
+    ServiceConfig config = testConfig();
+    config.storeDir = dir;
+    Service service(config);
+    Service storeless(testConfig());
+
+    // objects/ removed under the running service: the put of the
+    // next computed result fails.  The result must still be answered
+    // exactly as a storeless service answers it.
+    fs::remove_all(fs::path(dir) / "objects");
+    std::string answer = service.handle(runRequest("ccom", 4));
+    JsonValue v = parseResponse(answer);
+    ASSERT_TRUE(v.getBool("ok", false)) << v.getString("error");
+    EXPECT_FALSE(v.getBool("cached", true));
+    EXPECT_EQ(answer, storeless.handle(runRequest("ccom", 4)));
+
+    JsonValue stats =
+        parseResponse(service.handle("{\"type\": \"stats\"}"));
+    const JsonValue& store = stats.get("payload").get("store");
+    EXPECT_DOUBLE_EQ(store.getNumber("put_failures", -1), 1.0);
+    EXPECT_DOUBLE_EQ(store.getNumber("entries", -1), 0.0);
+
+    // The service keeps serving; the memory cache kept the result.
+    JsonValue again = parseResponse(service.handle(runRequest("ccom", 4)));
+    ASSERT_TRUE(again.getBool("ok", false)) << again.getString("error");
+    EXPECT_TRUE(again.getBool("cached", false));
+    fs::remove_all(dir);
+}
+
 TEST(Service, ShedRetryHintsAreJittered)
 {
     jcache::fault::configure("service.admit=always");

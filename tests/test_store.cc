@@ -3,9 +3,9 @@
  * Tests for the persistent content-addressed result store
  * (store/store.hh) and the canonical result keys (store/key.hh):
  * round trips, persistence across instances, torn blob tolerance,
- * LRU eviction, the mid-put SIGKILL recovery property, key versioning
- * (an engine or API bump must miss, never alias), a concurrent
- * get/put stress, and opens of the directory racing a put.
+ * a failed put, LRU eviction, the mid-put SIGKILL recovery property,
+ * key versioning (an engine or API bump must miss, never alias), a
+ * concurrent get/put stress, and opens of the directory racing a put.
  */
 
 #include <unistd.h>
@@ -24,6 +24,7 @@
 #include "store/key.hh"
 #include "store/store.hh"
 #include "util/fault.hh"
+#include "util/fs.hh"
 
 using namespace jcache;
 using store::KeyContext;
@@ -101,6 +102,7 @@ TEST_F(StoreTest, PutGetRoundTripsAndCounts)
     EXPECT_EQ(stats.entries, 2u);
     EXPECT_GT(stats.occupancyBytes, 4096u);
     EXPECT_GT(stats.putBytes, 0u);
+    EXPECT_EQ(stats.putFailures, 0u);
     EXPECT_DOUBLE_EQ(stats.hitRate(), 2.0 / 3.0);
 }
 
@@ -170,6 +172,22 @@ TEST_F(StoreTest, TornWriteFaultSurfacesAsMissOnGet)
     EXPECT_FALSE(store.contains(key(2)));
     EXPECT_EQ(store.get(key(1)).value(), "good");
     EXPECT_EQ(blobsOnDisk(dir_), 1u);
+}
+
+TEST_F(StoreTest, FailedPutThrowsCountsAndLeavesTheStoreAsItWas)
+{
+    ResultStore store(config_);
+    store.put(key(1), "kept");
+    std::uint64_t occupancy = store.stats().occupancyBytes;
+    // objects/ removed under a live store: no temporary can be made.
+    fs::remove_all(fs::path(dir_) / "objects");
+    EXPECT_THROW(store.put(key(2), "lost"), util::FsError);
+
+    store::StoreStats stats = store.stats();
+    EXPECT_EQ(stats.putFailures, 1u);
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_EQ(stats.occupancyBytes, occupancy);
+    EXPECT_FALSE(store.contains(key(2)));
 }
 
 TEST_F(StoreTest, TornIndexIsToleratedAndRebuilt)
