@@ -5,8 +5,11 @@
 
 #include "sim/sweeps.hh"
 
+#include <functional>
+#include <future>
 #include <mutex>
 
+#include "sim/parallel.hh"
 #include "stats/table.hh"
 #include "telemetry/trace_writer.hh"
 #include "util/logging.hh"
@@ -49,15 +52,50 @@ TraceSet::TraceSet(const workloads::WorkloadConfig& config)
     : TraceSet(config, workloads::benchmarkNames())
 {}
 
+namespace
+{
+
+/** contentDigest() of `t`, recorded as one `trace.digest` span. */
+std::string
+digestTrace(const trace::Trace& t)
+{
+    telemetry::Span span("trace.digest", "sim");
+    span.arg("workload", t.name());
+    return trace::contentDigest(t);
+}
+
+} // namespace
+
 TraceSet::TraceSet(const workloads::WorkloadConfig& config,
                    const std::vector<std::string>& names)
 {
+    // At one job the digest is deferred: it runs on this thread, at
+    // get(), and no thread is started.
+    const std::launch digest_on = defaultJobs() > 1
+                                      ? std::launch::async
+                                      : std::launch::deferred;
+    // Reserved so a digest in flight keeps its reference to the
+    // previous trace while the next one is appended.
+    traces_.reserve(names.size());
+    digests_.reserve(names.size());
+    // The previous trace's digest, which an async launch runs while
+    // the next trace generates.  If a generator throws, this future's
+    // destructor joins that digest before traces_ is destroyed.
+    std::future<std::string> previous;
     for (const std::string& name : names) {
-        telemetry::Span span("trace.generate", "sim");
-        auto workload = workloads::makeWorkload(name, config);
-        traces_.push_back(workloads::generateTrace(*workload));
-        span.arg("workload", traces_.back().name());
+        {
+            telemetry::Span span("trace.generate", "sim");
+            auto workload = workloads::makeWorkload(name, config);
+            traces_.push_back(workloads::generateTrace(*workload));
+            span.arg("workload", traces_.back().name());
+        }
+        if (previous.valid())
+            digests_.push_back(previous.get());
+        previous = std::async(digest_on, digestTrace,
+                              std::cref(traces_.back()));
     }
+    if (previous.valid())
+        digests_.push_back(previous.get());
 }
 
 const trace::Trace&

@@ -4,10 +4,11 @@
  *
  * The paper sweeps two axes: cache size 1KB-128KB at 16B lines, and
  * line size 4B-64B at 8KB.  TraceSet generates the six benchmark
- * traces once and shares them across every experiment in a process
- * (trace generation costs far more than a replay); construction of the
- * shared instance is guarded by std::once_flag so the first use may
- * come from any worker thread of the parallel executor.
+ * traces once, digests each once, and shares them across every
+ * experiment in a process (trace generation costs far more than a
+ * replay); construction of the shared instance is guarded by
+ * std::once_flag so the first use may come from any worker thread of
+ * the parallel executor.
  */
 
 #ifndef JCACHE_SIM_SWEEPS_HH
@@ -39,9 +40,18 @@ std::vector<std::pair<core::WriteHitPolicy, core::WriteMissPolicy>>
 legalPolicyPairs();
 
 /**
- * A set of workload traces, generated once.  The default construction
- * covers the six Table 1 benchmarks; a name list selects any
- * registered workloads.
+ * A set of workload traces, generated and digested once.  The default
+ * construction covers the six Table 1 benchmarks; a name list selects
+ * any registered workloads.
+ *
+ * Construction generates every trace on the constructing thread, one
+ * after another, and computes each trace's trace::contentDigest()
+ * once.  When defaultJobs() > 1, trace *i* is digested on one other
+ * thread while trace *i+1* is generated; at defaultJobs() == 1 no
+ * thread is started and the constructing thread digests every trace
+ * itself.  Generation stays on one thread on purpose: generators
+ * grow large record vectors, and each extra generating thread's
+ * malloc arena keeps its freed halves, which raises peak RSS.
  */
 class TraceSet
 {
@@ -53,6 +63,9 @@ class TraceSet
              const std::vector<std::string>& names);
 
     const std::vector<trace::Trace>& traces() const { return traces_; }
+
+    /** trace::contentDigest() of each trace, in traces() order. */
+    const std::vector<std::string>& digests() const { return digests_; }
 
     /** Trace by benchmark name; throws FatalError if unknown. */
     const trace::Trace& get(const std::string& name) const;
@@ -82,6 +95,7 @@ class TraceSet
 
   private:
     std::vector<trace::Trace> traces_;
+    std::vector<std::string> digests_;
 };
 
 /** One sweep axis expanded into concrete points with display labels. */

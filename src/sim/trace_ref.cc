@@ -60,17 +60,18 @@ withIdentity(ResolvedTrace r, const trace::Trace& t, std::string digest)
 }
 
 /**
- * Share a registry-owned trace without copying or owning it.
- * `digest` is its contentDigest(), which the caller already holds.
+ * Share registry trace `i` without copying or owning it, under the
+ * digest the registry computed when it generated the trace.
  */
 ResolvedTrace
-wrapRegistry(const trace::Trace& t, std::string digest)
+wrapRegistry(const TraceSet& registry, std::size_t i)
 {
+    const trace::Trace& t = registry.traces()[i];
     ResolvedTrace r;
     r.trace = std::shared_ptr<const trace::Trace>(
         std::shared_ptr<const trace::Trace>(), &t);
     r.source = std::make_shared<trace::TraceReplaySource>(t);
-    return withIdentity(std::move(r), t, std::move(digest));
+    return withIdentity(std::move(r), t, registry.digests()[i]);
 }
 
 } // namespace
@@ -172,24 +173,15 @@ TraceRepository::openMapped(const std::string& digest) const
     return r;
 }
 
-const std::vector<std::string>&
-TraceRepository::registryDigests()
-{
-    if (!registryDigestsReady_) {
-        registryDigests_.reserve(config_.registry->size());
-        for (const trace::Trace& t : config_.registry->traces())
-            registryDigests_.push_back(trace::contentDigest(t));
-        registryDigestsReady_ = true;
-    }
-    return registryDigests_;
-}
-
 ResolvedTrace
 TraceRepository::resolveName(const std::string& name)
 {
     if (config_.registry) {
-        if (const trace::Trace* t = config_.registry->find(name))
-            return wrapRegistry(*t, trace::contentDigest(*t));
+        const std::vector<trace::Trace>& traces =
+            config_.registry->traces();
+        for (std::size_t i = 0; i < traces.size(); ++i)
+            if (traces[i].name() == name)
+                return wrapRegistry(*config_.registry, i);
     }
 
     // A replay-cache directory may already hold this trace from an
@@ -237,11 +229,11 @@ TraceRepository::resolveDigest(const std::string& digest)
         return it->second;
 
     if (config_.registry) {
-        const std::vector<std::string>& digests = registryDigests();
+        const std::vector<std::string>& digests =
+            config_.registry->digests();
         for (std::size_t i = 0; i < digests.size(); ++i)
             if (digests[i] == digest)
-                return wrapRegistry(config_.registry->traces()[i],
-                                    digest);
+                return wrapRegistry(*config_.registry, i);
     }
 
     if (!config_.cacheDir.empty() &&
@@ -335,23 +327,6 @@ TraceRepository::addUpload(trace::Trace trace)
         uploadOrder_.erase(uploadOrder_.begin());
     }
     return r;
-}
-
-bool
-TraceRepository::knowsDigest(const std::string& digest)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (uploads_.count(digest) != 0)
-        return true;
-    if (config_.registry) {
-        const std::vector<std::string>& digests = registryDigests();
-        if (std::find(digests.begin(), digests.end(), digest) !=
-            digests.end())
-            return true;
-    }
-    return !config_.cacheDir.empty() &&
-           std::filesystem::exists(
-               trace::replayCachePath(config_.cacheDir, digest));
 }
 
 } // namespace jcache::sim

@@ -166,8 +166,9 @@ struct ResolvedTrace
  *  - **path** — loaded via trace::loadAnyTrace(); refused when
  *    `allowPaths` is false (the service never lets the wire name
  *    server-side files).
- *  - **digest** — uploads first, then the registry (digests computed
- *    lazily once), then `<digest>.jcrc` in the cache directory.
+ *  - **digest** — uploads first, then the registry (whose digests
+ *    TraceSet computed once, when it generated the traces), then
+ *    `<digest>.jcrc` in the cache directory.
  */
 class TraceRepository
 {
@@ -210,9 +211,6 @@ class TraceRepository
      */
     ResolvedTrace addUpload(trace::Trace trace);
 
-    /** True when a digest ref would resolve without generating. */
-    bool knowsDigest(const std::string& digest);
-
   private:
     ResolvedTrace resolveLocked(const TraceRef& ref);
     ResolvedTrace resolveName(const std::string& name);
@@ -227,16 +225,11 @@ class TraceRepository
     /** Open `<digest>.jcrc` as a mapped-only resolution. */
     ResolvedTrace openMapped(const std::string& digest) const;
 
-    /** Digest of every registry trace, computed on first need. */
-    const std::vector<std::string>& registryDigests();
-
     Config config_;
     std::mutex mutex_;
     std::unordered_map<std::string, ResolvedTrace> cache_;
     std::unordered_map<std::string, ResolvedTrace> uploads_;
     std::vector<std::string> uploadOrder_;
-    std::vector<std::string> registryDigests_;
-    bool registryDigestsReady_ = false;
 };
 
 } // namespace jcache::sim

@@ -252,9 +252,15 @@ struct Compiler
             static_cast<std::size_t>(lhs) * kNodeFields + kFValue);
         std::int32_t b = nodes.get(
             static_cast<std::size_t>(rhs) * kNodeFields + kFValue);
-        std::int32_t result = op == 0 ? a + b
-                            : op == 1 ? a - b
-                                      : a * b;
+        // Fold in uint32 so an overflowing constant wraps instead of
+        // being undefined; the wrapped values are the ones the
+        // traces have always held.
+        const auto ua = static_cast<std::uint32_t>(a);
+        const auto ub = static_cast<std::uint32_t>(b);
+        const std::uint32_t folded = op == 0 ? ua + ub
+                                   : op == 1 ? ua - ub
+                                             : ua * ub;
+        const auto result = static_cast<std::int32_t>(folded);
         nodes.set(base + kFKind, 0);
         nodes.set(base + kFValue, result);
         rec.tick(4);

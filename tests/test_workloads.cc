@@ -1,16 +1,26 @@
 /**
  * @file
  * Integration tests for the six reconstructed Table 1 workloads:
- * registry, determinism, scale behaviour, and the trace
- * characteristics the paper's analysis leans on.
+ * registry, the trace set's digests and threads, determinism, scale
+ * behaviour, and the trace characteristics the paper's analysis
+ * leans on.
  */
 
 #include <algorithm>
+#include <map>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "service/json_value.hh"
+#include "sim/parallel.hh"
 #include "sim/sweeps.hh"
+#include "telemetry/trace_writer.hh"
 #include "trace/summary.hh"
+#include "trace/trace.hh"
 #include "util/logging.hh"
 #include "workloads/workload.hh"
 
@@ -186,6 +196,95 @@ TEST(WorkloadRegistry, ExtendedTraceSetServesAllNine)
     EXPECT_THROW(extended.get("nonesuch"), FatalError);
     // The singleton never moves.
     EXPECT_EQ(&sim::TraceSet::extended(), &extended);
+}
+
+TEST(WorkloadRegistry, ExtendedTraceSetPinsEveryDigest)
+{
+    // Every digest ref, result identity and store key that names a
+    // registry trace is built from these values.
+    const std::vector<std::pair<std::string, std::string>> pinned = {
+        {"ccom", "a89303e9c499eec7"},    {"grr", "317d7ef2c1fc1a14"},
+        {"yacc", "46348b38e85bf705"},    {"met", "920429a03f33ce91"},
+        {"linpack", "d76644bdf375ca53"}, {"liver", "c52ded1730e3d976"},
+        {"kvstore", "419a11939d89362d"}, {"bfs", "810ee55f1c87afcc"},
+        {"marksweep", "4b56c553e3a9d5d6"},
+    };
+    const sim::TraceSet& extended = sim::TraceSet::extended();
+    ASSERT_EQ(extended.digests().size(), pinned.size());
+    for (std::size_t i = 0; i < pinned.size(); ++i) {
+        const trace::Trace& t = extended.traces()[i];
+        EXPECT_EQ(t.name(), pinned[i].first);
+        EXPECT_EQ(extended.digests()[i], trace::contentDigest(t))
+            << t.name();
+        EXPECT_EQ(extended.digests()[i], pinned[i].second) << t.name();
+    }
+}
+
+/** A two-workload TraceSet built while defaultJobs() is `jobs`. */
+sim::TraceSet
+twoWorkloadSet(unsigned jobs)
+{
+    struct RestoreDefaultJobs
+    {
+        ~RestoreDefaultJobs() { sim::setDefaultJobs(0); }
+    } restore;
+    sim::setDefaultJobs(jobs);
+    return sim::TraceSet({}, {"ccom", "liver"});
+}
+
+TEST(TraceSetDigests, SameTracesAndDigestsAtAnyJobs)
+{
+    const sim::TraceSet inline_digests = twoWorkloadSet(1);
+    const sim::TraceSet beside = twoWorkloadSet(3);
+    ASSERT_EQ(inline_digests.size(), 2u);
+    EXPECT_EQ(inline_digests.traces(), beside.traces());
+    EXPECT_EQ(inline_digests.digests(), beside.digests());
+    for (std::size_t i = 0; i < beside.size(); ++i)
+        EXPECT_EQ(beside.digests()[i],
+                  trace::contentDigest(beside.traces()[i]));
+}
+
+TEST(TraceSetDigests, GenerationStaysOnOneThread)
+{
+    telemetry::SpanTracer& tracer = telemetry::SpanTracer::instance();
+    for (unsigned jobs : {1u, 3u}) {
+        tracer.start();
+        twoWorkloadSet(jobs);
+        tracer.stop();
+        std::ostringstream json;
+        tracer.writeJson(json);
+        std::string error;
+        service::JsonValue doc =
+            service::JsonValue::parse(json.str(), &error);
+        ASSERT_TRUE(error.empty()) << error;
+
+        // Thread ids and workload args of each span name, in order.
+        std::map<std::string, std::vector<double>> tids;
+        std::map<std::string, std::vector<std::string>> workloads;
+        for (const service::JsonValue& event : doc.items()) {
+            const std::string name = event.getString("name");
+            EXPECT_EQ(event.getString("cat"), "sim");
+            tids[name].push_back(event.getNumber("tid", -1.0));
+            workloads[name].push_back(
+                event.get("args").getString("workload"));
+        }
+        const std::vector<std::string> order = {"ccom", "liver"};
+        EXPECT_EQ(workloads["trace.generate"], order) << jobs;
+        // A digest span may close after the next generate span.
+        std::vector<std::string> digested = workloads["trace.digest"];
+        std::sort(digested.begin(), digested.end());
+        EXPECT_EQ(digested, order) << jobs;
+
+        ASSERT_EQ(tids["trace.generate"].size(), 2u);
+        const double generator = tids["trace.generate"][0];
+        EXPECT_EQ(tids["trace.generate"][1], generator) << jobs;
+        for (double tid : tids["trace.digest"]) {
+            if (jobs == 1)
+                EXPECT_EQ(tid, generator) << "no thread at one job";
+            else
+                EXPECT_NE(tid, generator) << "digest beside generation";
+        }
+    }
 }
 
 TEST(WorkloadScale, ScaleGrowsWorkNotFootprint)

@@ -16,10 +16,11 @@
  *           [--trace-out PATH] [--version]
  *
  * Binds 127.0.0.1:<port> (0 = ephemeral; the chosen port is printed
- * and optionally written to --port-file for scripts), bootstraps the
- * six benchmark traces once, then serves framed JSON requests until
- * SIGINT/SIGTERM or an in-band shutdown request, draining in-flight
- * connections on the way out.  Protocol: docs/SERVICE.md.
+ * and optionally written to --port-file for scripts), generates and
+ * digests the nine registry traces once, then serves framed JSON
+ * requests until SIGINT/SIGTERM or an in-band shutdown request,
+ * draining in-flight connections on the way out.  Protocol:
+ * docs/SERVICE.md.
  *
  * The front end multiplexes every connection onto one epoll/poll
  * event loop and answers pipelined requests per connection in order;
@@ -66,6 +67,7 @@
 #include "cli_common.hh"
 #include "service/async_server.hh"
 #include "service/shard.hh"
+#include "sim/parallel.hh"
 #include "sim/sweeps.hh"
 #include "telemetry/http_exporter.hh"
 #include "telemetry/metrics.hh"
@@ -361,10 +363,12 @@ main(int argc, char** argv)
         if (!opt.traceOut.empty())
             telemetry::SpanTracer::instance().start();
 
-        // Generate the shared traces before accepting connections so
-        // the first request pays replay cost only.
+        // Generate and digest the shared traces before accepting
+        // connections so the first request pays replay cost only.
+        // --jobs decides whether the digests run beside generation.
         std::cerr << versionLine("jcached")
                   << ": bootstrapping trace registry...\n";
+        sim::setDefaultJobs(common.jobs);
         sim::TraceSet::extended();
         if (coordinator)
             std::cerr << "jcached: coordinating "
