@@ -305,13 +305,22 @@ secondsSince(Clock::time_point start)
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+/**
+ * Thrown by the repository's registry getter while the registry is
+ * not built: the request waits for Service::buildRegistry().
+ */
+struct RegistryPending
+{
+};
+
 /** TraceRepository wiring of one daemon: registry + uploads +
  * optional mapped tier; the wire never names server-side paths. */
 sim::TraceRepository::Config
-repoConfig(const ServiceConfig& config, const sim::TraceSet& traces)
+repoConfig(const ServiceConfig& config,
+           std::function<const sim::TraceSet&()> registry)
 {
     sim::TraceRepository::Config rc;
-    rc.registry = &traces;
+    rc.registry = std::move(registry);
     rc.generateUnknownNames = false;
     rc.allowPaths = false;
     rc.cacheDir = config.traceCacheDir;
@@ -323,13 +332,18 @@ repoConfig(const ServiceConfig& config, const sim::TraceSet& traces)
 
 Service::Service(const ServiceConfig& config)
     : config_(config),
-      traces_(config.traces ? *config.traces
-                            : sim::TraceSet::extended()),
       executorThreads_(config.executorThreads == 0
                            ? sim::defaultJobs()
                            : config.executorThreads),
       cache_(config.cacheCapacity),
-      repo_(repoConfig(config, traces_)),
+      repo_(repoConfig(config,
+                       [this]() -> const sim::TraceSet& {
+                           const sim::TraceSet* registry =
+                               registry_.load(std::memory_order_acquire);
+                           if (!registry)
+                               throw RegistryPending();
+                           return *registry;
+                       })),
       admission_(config.admission),
       start_(Clock::now())
 {
@@ -352,6 +366,10 @@ Service::Service(const ServiceConfig& config)
 
 Service::~Service()
 {
+    // A build in flight dispatches its waiters, through the queue the
+    // schedulers below are still draining.
+    if (registryBuilder_.joinable())
+        registryBuilder_.join();
     {
         std::lock_guard<std::mutex> lock(queue_mutex_);
         stopping_.store(true);
@@ -752,32 +770,23 @@ Service::handleAsync(const std::string& request_json,
         ++requests_;
     }
 
-    // Every refusal before queueing is counted as an error.
-    std::string request_id;
-    auto refuse = [&](const std::string& code,
-                      const std::string& message) {
-        {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++errors_;
-        }
-        done(errorResponse(code, message, request_id));
-    };
-
     std::string parse_error;
     JsonValue request = JsonValue::parse(request_json, &parse_error);
     if (!parse_error.empty() || !request.isObject())
         return refuse("parse_error",
                       parse_error.empty()
                           ? "request must be a JSON object"
-                          : parse_error);
-    request_id = request.getString("request_id");
+                          : parse_error,
+                      "", done);
+    std::string request_id = request.getString("request_id");
 
     double protocol = request.getNumber(
         "protocol", static_cast<double>(kProtocolVersion));
     if (protocol != static_cast<double>(kProtocolVersion))
         return refuse("protocol_mismatch",
                       "daemon speaks protocol " +
-                          std::to_string(kProtocolVersion));
+                          std::to_string(kProtocolVersion),
+                      request_id, done);
     // Absent means a client predating the handshake (accepted).
     if (request.has("api_version") &&
         !speaksApiMajor(request.get("api_version")))
@@ -785,7 +794,8 @@ Service::handleAsync(const std::string& request_json,
                       "daemon speaks api version " +
                           std::string(kApiVersion) +
                           "; compatible requests declare major " +
-                          std::to_string(kApiVersionMajor));
+                          std::to_string(kApiVersionMajor),
+                      request_id, done);
 
     std::string type = request.getString("type");
     // Label values come from a fixed vocabulary: an unrecognized type
@@ -798,6 +808,27 @@ Service::handleAsync(const std::string& request_json,
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++requestsByType_[counted - kCountedRequestTypes.begin()];
     }
+    dispatch(type, std::move(request), received, request_id,
+             std::move(done));
+}
+
+void
+Service::refuse(const std::string& code, const std::string& message,
+                const std::string& request_id,
+                const ResponseCallback& done)
+{
+    {
+        std::lock_guard<std::mutex> lock(stats_mutex_);
+        ++errors_;
+    }
+    done(errorResponse(code, message, request_id));
+}
+
+void
+Service::dispatch(const std::string& type, JsonValue request,
+                  Clock::time_point received,
+                  const std::string& request_id, ResponseCallback done)
+{
     try {
         if (type == "run")
             return admit(describeRun(request), request, received,
@@ -828,15 +859,74 @@ Service::handleAsync(const std::string& request_json,
         refuse("unknown_type",
                "unknown request type: '" + type +
                    "' (use "
-                   "run|sweep|batch|upload|stats|health|ping|shutdown)");
+                   "run|sweep|batch|upload|stats|health|ping|shutdown)",
+               request_id, done);
+    } catch (const RegistryPending&) {
+        // Dispatched again once the registry is built.  Its deadline
+        // clock restarts then: a daemon that built the registry
+        // before it took requests never charged a request for it.
+        awaitRegistry({request_id, done,
+                       [this, type, request = std::move(request),
+                        request_id, done] {
+                           dispatch(type, request, Clock::now(),
+                                    request_id, done);
+                       }});
     } catch (const sim::UnknownTraceError& e) {
-        refuse("unknown_trace", e.what());
+        refuse("unknown_trace", e.what(), request_id, done);
     } catch (const CodedError& e) {
-        refuse(e.code(), e.what());
+        refuse(e.code(), e.what(), request_id, done);
     } catch (const FatalError& e) {
-        refuse("bad_request", e.what());
+        refuse("bad_request", e.what(), request_id, done);
     } catch (const std::exception& e) {
-        refuse("internal_error", e.what());
+        refuse("internal_error", e.what(), request_id, done);
+    }
+}
+
+void
+Service::awaitRegistry(RegistryWaiter waiter)
+{
+    std::unique_lock<std::mutex> lock(registry_mutex_);
+    if (registry_.load(std::memory_order_acquire)) {
+        // Built since this request's resolve found it missing.
+        lock.unlock();
+        waiter.retry();
+        return;
+    }
+    // The first waiter starts the build; later ones join its list.
+    registryWaiters_.push_back(std::move(waiter));
+    if (registryWaiters_.size() > 1)
+        return;
+    // A build that failed has answered its waiters; reap its thread.
+    if (registryBuilder_.joinable())
+        registryBuilder_.join();
+    registryBuilder_ = std::thread([this] { buildRegistry(); });
+}
+
+void
+Service::buildRegistry()
+{
+    const sim::TraceSet* registry = nullptr;
+    std::string error;
+    try {
+        registry = &config_.registry();
+    } catch (const std::exception& e) {
+        error = e.what();
+    }
+    std::vector<RegistryWaiter> waiters;
+    {
+        std::lock_guard<std::mutex> lock(registry_mutex_);
+        registry_.store(registry, std::memory_order_release);
+        waiters.swap(registryWaiters_);
+    }
+    // In arrival order.  After a failed build each waiter is refused;
+    // the next request that needs the registry starts another.
+    for (RegistryWaiter& waiter : waiters) {
+        if (registry)
+            waiter.retry();
+        else
+            refuse("internal_error",
+                   "building the trace registry failed: " + error,
+                   waiter.requestId, waiter.done);
     }
 }
 

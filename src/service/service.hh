@@ -6,8 +6,11 @@
  * one request document (already deframed) and returns one response
  * document.  Behind handle():
  *
- *  - a TraceSet registry bootstrapped once at construction, so no
- *    request ever pays trace generation;
+ *  - a TraceSet registry, generated once, on a thread of its own,
+ *    when the first request needs it: a `name:` ref, or a `digest:`
+ *    ref that neither an upload nor a `--trace-cache-dir` file
+ *    holds.  A daemon that replays only uploads and cache files
+ *    never generates it, and no caller of handleAsync() waits for it;
  *  - an LRU ResultCache keyed by the canonical result key
  *    (store/key.hh: trace identity, config, engine kind and version,
  *    API minor), so a repeated point is served without replay — and,
@@ -197,11 +200,14 @@ struct ServiceConfig
     std::size_t uploadCapBytes = 4u << 20;
 
     /**
-     * Trace registry override for tests; null uses
-     * sim::TraceSet::extended() (the six paper benchmarks plus the
-     * production workloads).  Not owned; must outlive the Service.
+     * Builds the trace registry and returns it: by default
+     * sim::TraceSet::extended(), the six paper benchmarks plus the
+     * production workloads.  Called on the service's builder thread
+     * when the first request needs a registry trace; tests swap in a
+     * build they hold or fail.  The set must outlive the Service.
      */
-    const sim::TraceSet* traces = nullptr;
+    std::function<const sim::TraceSet&()> registry =
+        &sim::TraceSet::extended;
 
     /**
      * Admission policy (jcached --admission and friends): the fixed
@@ -279,11 +285,13 @@ class Service
 
     /**
      * Process one request document without blocking the caller on
-     * simulation work.  Requests answered from the cache (or that
-     * fail validation) invoke `done` before returning; queued jobs
-     * invoke it later from a scheduler thread.  The reactor calls
-     * this so one event-loop thread can keep every connection moving
-     * while jobs drain through the bounded queue.
+     * simulation work or on trace generation.  Requests answered
+     * from the cache (or that fail validation) invoke `done` before
+     * returning; queued jobs invoke it later from a scheduler thread.
+     * A request that needs the registry before it is built is
+     * dispatched again, from the builder thread, once it is.  The
+     * reactor calls this so one event-loop thread can keep every
+     * connection moving while jobs drain through the bounded queue.
      */
     void handleAsync(const std::string& request_json,
                      ResponseCallback done);
@@ -383,9 +391,47 @@ class Service
     };
 
     /**
+     * Route one validated request by its type: answer it, admit its
+     * job, or, when its trace needs the registry before it is built,
+     * hand it to awaitRegistry().  Answers every refusal.
+     */
+    void dispatch(const std::string& type, JsonValue request,
+                  Clock::time_point received,
+                  const std::string& request_id, ResponseCallback done);
+
+    /** Answer a refused request with `code`; counted as an error. */
+    void refuse(const std::string& code, const std::string& message,
+                const std::string& request_id,
+                const ResponseCallback& done);
+
+    /** A request waiting for the registry's build. */
+    struct RegistryWaiter
+    {
+        std::string requestId;
+        ResponseCallback done;
+
+        /** Dispatch the request again. */
+        std::function<void()> retry;
+    };
+
+    /**
+     * Park `waiter` until the registry is built, starting the build
+     * on registryBuilder_ unless one is running; retry it at once if
+     * the registry was built meanwhile.
+     */
+    void awaitRegistry(RegistryWaiter waiter);
+
+    /**
+     * registryBuilder_'s body: build the registry, publish it in
+     * registry_, then retry every waiter in arrival order, or refuse
+     * each with `internal_error` if the build threw.
+     */
+    void buildRegistry();
+
+    /**
      * The describe steps, one per job type: parse and validate the
      * request, resolve its trace and derive its result key.  Each
-     * throws on a refusal, which handleAsync answers with its code.
+     * throws on a refusal, which dispatch() answers with its code.
      */
     JobSpec describeRun(const JsonValue& request);
     JobSpec describeSweep(const JsonValue& request);
@@ -480,7 +526,6 @@ class Service
     std::string healthPayload(const ServiceSnapshot& snap) const;
 
     ServiceConfig config_;
-    const sim::TraceSet& traces_;
 
     /** Resolved worker width reported by stats (0 never escapes). */
     unsigned executorThreads_;
@@ -494,10 +539,24 @@ class Service
 
     /**
      * Resolves every request's trace reference: the registry by
-     * name, uploads and `<digest>.jcrc` files by digest.  Path refs
-     * never resolve here — the wire must not name server-side files.
+     * name; uploads, `<digest>.jcrc` files, then the registry by
+     * digest.  Path refs never resolve here — the wire must not name
+     * server-side files.  Its registry getter returns registry_ and
+     * throws RegistryPending while that is null, so a resolve never
+     * builds the registry.
      */
     sim::TraceRepository repo_;
+
+    /** The built registry; null until buildRegistry() publishes it. */
+    std::atomic<const sim::TraceSet*> registry_{nullptr};
+
+    /**
+     * Guards registry_'s publication and the two members below; the
+     * waiter list is empty exactly when no build is running.
+     */
+    std::mutex registry_mutex_;
+    std::vector<RegistryWaiter> registryWaiters_;
+    std::thread registryBuilder_;
 
     std::atomic<bool> shutdown_{false};
     std::atomic<bool> stopping_{false};

@@ -88,8 +88,9 @@ class TraceSet
     /**
      * Process-wide shared instance of all nine registered workloads:
      * the six benchmarks followed by the production generators
-     * (kvstore, bfs, marksweep).  The service pregenerates this set
-     * so uploaded-trace and built-in requests see the same catalog.
+     * (kvstore, bfs, marksweep).  The service's registry: jcached
+     * builds it the first time a request needs a registry trace, not
+     * at start-up.
      */
     static const TraceSet& extended();
 

@@ -177,11 +177,11 @@ ResolvedTrace
 TraceRepository::resolveName(const std::string& name)
 {
     if (config_.registry) {
-        const std::vector<trace::Trace>& traces =
-            config_.registry->traces();
+        const TraceSet& registry = config_.registry();
+        const std::vector<trace::Trace>& traces = registry.traces();
         for (std::size_t i = 0; i < traces.size(); ++i)
             if (traces[i].name() == name)
-                return wrapRegistry(*config_.registry, i);
+                return wrapRegistry(registry, i);
     }
 
     // A replay-cache directory may already hold this trace from an
@@ -228,18 +228,20 @@ TraceRepository::resolveDigest(const std::string& digest)
     if (it != uploads_.end())
         return it->second;
 
-    if (config_.registry) {
-        const std::vector<std::string>& digests =
-            config_.registry->digests();
-        for (std::size_t i = 0; i < digests.size(); ++i)
-            if (digests[i] == digest)
-                return wrapRegistry(*config_.registry, i);
-    }
-
     if (!config_.cacheDir.empty() &&
         std::filesystem::exists(
             trace::replayCachePath(config_.cacheDir, digest)))
         return openMapped(digest);
+
+    // Last, so that digests of uploads and cache files never build
+    // the registry.
+    if (config_.registry) {
+        const TraceSet& registry = config_.registry();
+        const std::vector<std::string>& digests = registry.digests();
+        for (std::size_t i = 0; i < digests.size(); ++i)
+            if (digests[i] == digest)
+                return wrapRegistry(registry, i);
+    }
 
     throw UnknownTraceError("unknown trace digest: " + digest);
 }
@@ -264,8 +266,8 @@ TraceRepository::resolveLocked(const TraceRef& ref)
     }
 
     if (ref.kind() == TraceRef::Kind::Digest)
-        // Uploads are their own store (FIFO-evicted); only they can
-        // satisfy before the registry, so no spec cache here.
+        // Uploads are their own store (FIFO-evicted) and a mapped
+        // file is cheap to open, so no spec cache here.
         return resolveDigest(ref.value());
 
     const std::string spec = ref.spec();
@@ -293,12 +295,17 @@ TraceRepository::resolveMaterialized(const TraceRef& ref)
         return r;
 
     // Mapped-only: decode every block into an owned in-memory trace
-    // and re-cache the materialized resolution under the same spec.
-    // openMapped() already checked the file's header digest against
-    // the requested one, so the records are not digested again.
+    // once, and cache the materialized resolution under the same
+    // spec, which a digest ref's next call finds here.  openMapped()
+    // already checked the file's header digest against the requested
+    // one, so the records are not digested again.
+    const std::string spec = ref.spec();
+    auto it = cache_.find(spec);
+    if (it != cache_.end() && it->second.trace)
+        return it->second;
     ResolvedTrace materialized =
         wrapOwned(trace::materialize(*r.source), r.digest);
-    cache_[ref.spec()] = materialized;
+    cache_[spec] = materialized;
     return materialized;
 }
 

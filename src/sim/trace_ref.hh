@@ -31,6 +31,7 @@
 #define JCACHE_SIM_TRACE_REF_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -166,17 +167,30 @@ struct ResolvedTrace
  *  - **path** — loaded via trace::loadAnyTrace(); refused when
  *    `allowPaths` is false (the service never lets the wire name
  *    server-side files).
- *  - **digest** — uploads first, then the registry (whose digests
- *    TraceSet computed once, when it generated the traces), then
- *    `<digest>.jcrc` in the cache directory.
+ *  - **digest** — uploads first, then `<digest>.jcrc` in the cache
+ *    directory, then the registry (whose digests TraceSet computed
+ *    once, when it generated the traces).  A cache file's identity
+ *    comes from the name its header records, so a registry trace
+ *    that is also a cache file resolves under that name.
+ *
+ * The registry is reached through a getter, called only by a name
+ * ref and by a digest ref that neither an upload nor a cache file
+ * satisfies: a repository asked only for those digests never builds
+ * the registry.
  */
 class TraceRepository
 {
   public:
     struct Config
     {
-        /** Workload registry consulted for name and digest refs. */
-        const TraceSet* registry = nullptr;
+        /**
+         * Returns the workload registry consulted for name and digest
+         * refs; empty for none.  Called under the repository lock.  It
+         * may build the set on its first call (TraceSet::extended()
+         * does) or throw, which fails that resolution; the set must
+         * outlive the repository.
+         */
+        std::function<const TraceSet&()> registry;
 
         /** Generate unknown names via workloads::makeWorkload(). */
         bool generateUnknownNames = false;

@@ -124,8 +124,9 @@ TEST(ResultCache, EvictionUnderConcurrentLookupsStaysCoherent)
                 std::string key = "churn-" + std::to_string(w) +
                                   "-" + std::to_string(i);
                 cache.insert(key, "value-" + key);
-                if (auto hit = cache.lookup(key))
+                if (auto hit = cache.lookup(key)) {
                     EXPECT_EQ(*hit, "value-" + key);
+                }
             }
         });
     }

@@ -16,10 +16,13 @@
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <latch>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -839,6 +842,10 @@ TEST(Service, CodelShedsTheMiddleOfASustainedBacklog)
     config.admission.intervalMillis = 25.0;
     jcache::fault::configure("service.delay=always");
     Service service(config);
+    // The head's request waits for the service to build its registry.
+    // Generate the traces now, so that the build is instant and the
+    // head runs before the waiters arrive, as the timing assumes.
+    jcache::sim::TraceSet::extended();
 
     std::thread head([&] { service.handle(runRequest("ccom", 4)); });
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
@@ -883,6 +890,104 @@ TEST(Service, CodelShedsTheMiddleOfASustainedBacklog)
                   .get("wait_seconds")
                   .getNumber("max", 0),
               0.0);
+}
+
+TEST(Service, RegistryBuildsBesideTheRequestsThatNeedNoRegistry)
+{
+    // The registry build is held on a latch, standing for the
+    // generation of the nine traces.
+    std::latch building(1);
+    std::latch release(1);
+    std::atomic<int> builds{0};
+    std::promise<std::string> first;
+    std::promise<std::string> second;
+    ServiceConfig config = testConfig();
+    config.registry = [&]() -> const jcache::sim::TraceSet& {
+        ++builds;
+        building.count_down();
+        release.wait();
+        return jcache::sim::TraceSet::extended();
+    };
+    Service service(config);
+
+    // An upload and a run by its digest need no registry.
+    JsonValue uploaded =
+        parseResponse(service.handle(uploadRequest(kMiniTrace)));
+    ASSERT_TRUE(uploaded.getBool("ok", false));
+    std::string by_digest =
+        "{\"type\": \"run\", \"trace_ref\": \"digest:" +
+        uploaded.get("payload").getString("trace_digest") +
+        "\", \"config\": {\"size_bytes\": 8192}}";
+    EXPECT_TRUE(
+        parseResponse(service.handle(by_digest)).getBool("ok", false));
+    EXPECT_EQ(builds.load(), 0);
+
+    // The first name run starts the build and returns unanswered.  Its
+    // deadline is shorter than the build is held below.
+    auto dispatched = std::async(std::launch::async, [&] {
+        service.handleAsync(
+            "{\"type\": \"run\", \"trace_ref\": \"name:ccom\","
+            " \"deadline_ms\": 1000, \"request_id\": \"first\","
+            " \"config\": {\"size_bytes\": 4096}}",
+            [&](std::string text) { first.set_value(std::move(text)); });
+        service.handleAsync(
+            runRequest("grr", 4),
+            [&](std::string text) { second.set_value(std::move(text)); });
+    });
+    building.wait();
+    bool returned = dispatched.wait_for(std::chrono::seconds(10)) ==
+                    std::future_status::ready;
+    EXPECT_TRUE(returned) << "handleAsync waited for the registry build";
+
+    // While the build is held, requests that need no registry trace
+    // are answered.
+    auto beside = std::async(std::launch::async, [&] {
+        return parseResponse(service.handle("{\"type\": \"ping\"}"))
+                   .getBool("ok", false) &&
+               parseResponse(service.handle(by_digest))
+                   .getBool("cached", false) &&
+               parseResponse(service.handle(uploadRequest(kMiniTrace)))
+                   .getBool("ok", false);
+    });
+    bool answered = beside.wait_for(std::chrono::seconds(10)) ==
+                    std::future_status::ready;
+    EXPECT_TRUE(answered) << "a request waited for the registry build";
+    std::future<std::string> first_answer = first.get_future();
+    EXPECT_EQ(first_answer.wait_for(std::chrono::milliseconds(1200)),
+              std::future_status::timeout);
+    release.count_down();
+    if (answered) {
+        EXPECT_TRUE(beside.get());
+    }
+
+    // The deadline clock starts when the registry is built: the first
+    // run waited longer than its budget and is still served.
+    ASSERT_EQ(first_answer.wait_for(std::chrono::seconds(60)),
+              std::future_status::ready);
+    JsonValue v = parseResponse(first_answer.get());
+    EXPECT_TRUE(v.getBool("ok", false)) << v.getString("error");
+    EXPECT_EQ(v.getString("request_id"), "first");
+    JsonValue w = parseResponse(second.get_future().get());
+    EXPECT_TRUE(w.getBool("ok", false)) << w.getString("error");
+    EXPECT_EQ(w.get("payload").getString("workload"), "grr");
+    EXPECT_EQ(builds.load(), 1);
+}
+
+TEST(Service, AFailedRegistryBuildIsRefusedThenRetried)
+{
+    std::atomic<int> builds{0};
+    ServiceConfig config = testConfig();
+    config.registry = [&]() -> const jcache::sim::TraceSet& {
+        if (++builds == 1)
+            throw std::runtime_error("generator failed");
+        return jcache::sim::TraceSet::extended();
+    };
+    Service service(config);
+
+    expectError(service, runRequest("ccom", 4), "internal_error");
+    JsonValue v = parseResponse(service.handle(runRequest("ccom", 4)));
+    EXPECT_TRUE(v.getBool("ok", false)) << v.getString("error");
+    EXPECT_EQ(builds.load(), 2);
 }
 
 TEST(Service, ARunBesideASlowJobAnswersWithoutWaitingForIt)

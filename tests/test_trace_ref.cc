@@ -3,12 +3,15 @@
  * Tests for the unified trace-addressing API (sim/trace_ref.hh):
  * TraceRef parsing and canonical specs, and TraceRepository
  * resolution across the registry, uploaded traces, replay-cache
- * directories, and the workload generator.
+ * directories, and the workload generator; the registry is reached
+ * only when a ref needs it.
  */
 
 #include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
+#include <functional>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -57,6 +60,20 @@ miniTrace(const std::string& name, unsigned records)
     return t;
 }
 
+/** A registry getter over TraceSet::standard() that counts its calls. */
+struct CountingRegistry
+{
+    std::atomic<int> calls{0};
+
+    std::function<const TraceSet&()> getter()
+    {
+        return [this]() -> const TraceSet& {
+            ++calls;
+            return TraceSet::standard();
+        };
+    }
+};
+
 TEST(TraceRef, ParsesEverySpelling)
 {
     auto bare = TraceRef::parse("ccom");
@@ -101,7 +118,7 @@ TEST(TraceRef, RejectsMalformedSpecs)
 TEST(TraceRepository, ResolvesRegistryNamesAndDigests)
 {
     TraceRepository::Config config;
-    config.registry = &TraceSet::standard();
+    config.registry = &TraceSet::standard;
     TraceRepository repo(config);
 
     ResolvedTrace by_name = repo.resolve(TraceRef::byName("ccom"));
@@ -231,6 +248,101 @@ TEST(TraceRepository, CacheDirMapsDigestsAndReusesNames)
     EXPECT_TRUE(
         fs::exists(trace::replayCachePath(dir.path,
                                           generated.digest)));
+}
+
+TEST(TraceRepository, UploadAndCacheFileDigestsNeverCallTheRegistry)
+{
+    TempDir dir("jcache_ref_lazy_digests");
+    trace::Trace cached = miniTrace("cached", 32);
+    std::string cached_digest = trace::contentDigest(cached);
+    trace::ensureReplayCache(cached, dir.path);
+
+    CountingRegistry registry;
+    TraceRepository::Config config;
+    config.registry = registry.getter();
+    config.cacheDir = dir.path;
+    TraceRepository repo(config);
+
+    std::string uploaded = repo.addUpload(miniTrace("up", 8)).digest;
+    EXPECT_EQ(repo.resolve(TraceRef::byDigest(uploaded)).name, "up");
+    EXPECT_EQ(repo.resolve(TraceRef::byDigest(cached_digest)).name,
+              "cached");
+    EXPECT_EQ(
+        repo.resolveMaterialized(TraceRef::byDigest(cached_digest))
+            .name,
+        "cached");
+    EXPECT_EQ(registry.calls.load(), 0);
+}
+
+TEST(TraceRepository, NamesAndUnknownDigestsCallTheRegistry)
+{
+    CountingRegistry registry;
+    TraceRepository::Config config;
+    config.registry = registry.getter();
+    TraceRepository repo(config);
+
+    EXPECT_EQ(repo.resolve(TraceRef::byName("grr")).name, "grr");
+    EXPECT_EQ(registry.calls.load(), 1);
+    // A resolved name is cached by spec: no second call.
+    EXPECT_EQ(repo.resolve(TraceRef::byName("grr")).name, "grr");
+    EXPECT_EQ(registry.calls.load(), 1);
+
+    EXPECT_THROW(repo.resolve(TraceRef::byDigest("ffffffffffffffff")),
+                 UnknownTraceError);
+    EXPECT_EQ(registry.calls.load(), 2);
+}
+
+TEST(TraceRepository, CacheFileOfARegistryTraceKeepsItsIdentity)
+{
+    TempDir dir("jcache_ref_registry_file");
+    const TraceSet& standard = TraceSet::standard();
+    const trace::Trace& ccom = standard.get("ccom");
+    trace::ensureReplayCache(ccom, dir.path);
+
+    CountingRegistry registry;
+    TraceRepository::Config config;
+    config.registry = registry.getter();
+    config.cacheDir = dir.path;
+    TraceRepository repo(config);
+
+    // The digest resolves to the mapped file, before the registry,
+    // under the identity the registry gives the same trace.
+    ResolvedTrace mapped =
+        repo.resolve(TraceRef::byDigest(trace::contentDigest(ccom)));
+    EXPECT_EQ(mapped.trace, nullptr);
+    EXPECT_EQ(mapped.name, "ccom");
+    EXPECT_EQ(mapped.identity, trace::traceIdentity(ccom));
+    EXPECT_EQ(registry.calls.load(), 0);
+
+    ResolvedTrace by_name = repo.resolve(TraceRef::byName("ccom"));
+    EXPECT_NE(by_name.trace, nullptr);
+    EXPECT_EQ(by_name.identity, mapped.identity);
+    EXPECT_EQ(registry.calls.load(), 1);
+}
+
+TEST(TraceRepository, CacheFileNameWinsOverTheRegistryForItsDigest)
+{
+    // The same records as the registry's ccom, recorded under another
+    // name (as `jcache-trace import --name` would write them): the
+    // digest resolves to the file, whose header names the trace.
+    TempDir dir("jcache_ref_renamed_file");
+    trace::Trace renamed = TraceSet::standard().get("ccom");
+    renamed.setName("renamed");
+    trace::ensureReplayCache(renamed, dir.path);
+
+    CountingRegistry registry;
+    TraceRepository::Config config;
+    config.registry = registry.getter();
+    config.cacheDir = dir.path;
+    TraceRepository repo(config);
+
+    ResolvedTrace mapped =
+        repo.resolve(TraceRef::byDigest(trace::contentDigest(renamed)));
+    EXPECT_EQ(mapped.name, "renamed");
+    EXPECT_EQ(mapped.identity, trace::traceIdentity(renamed));
+    EXPECT_NE(mapped.identity,
+              trace::traceIdentity(TraceSet::standard().get("ccom")));
+    EXPECT_EQ(registry.calls.load(), 0);
 }
 
 } // namespace

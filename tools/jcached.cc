@@ -16,11 +16,14 @@
  *           [--trace-out PATH] [--version]
  *
  * Binds 127.0.0.1:<port> (0 = ephemeral; the chosen port is printed
- * and optionally written to --port-file for scripts), generates and
- * digests the nine registry traces once, then serves framed JSON
- * requests until SIGINT/SIGTERM or an in-band shutdown request,
- * draining in-flight connections on the way out.  Protocol:
- * docs/SERVICE.md.
+ * and optionally written to --port-file for scripts), then serves
+ * framed JSON requests until SIGINT/SIGTERM or an in-band shutdown
+ * request, draining in-flight connections on the way out.  The nine
+ * registry traces are generated and digested once, on a thread of
+ * their own, when the first request needs them (a `name:` ref, or a
+ * `digest:` ref that no upload or --trace-cache-dir file holds); the
+ * event loop keeps serving meanwhile, and --jobs decides whether each
+ * digest runs beside the next generation.  Protocol: docs/SERVICE.md.
  *
  * The front end multiplexes every connection onto one epoll/poll
  * event loop and answers pipelined requests per connection in order;
@@ -68,7 +71,6 @@
 #include "service/async_server.hh"
 #include "service/shard.hh"
 #include "sim/parallel.hh"
-#include "sim/sweeps.hh"
 #include "telemetry/http_exporter.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/trace_writer.hh"
@@ -363,13 +365,11 @@ main(int argc, char** argv)
         if (!opt.traceOut.empty())
             telemetry::SpanTracer::instance().start();
 
-        // Generate and digest the shared traces before accepting
-        // connections so the first request pays replay cost only.
-        // --jobs decides whether the digests run beside generation.
+        // The trace registry is built by the first request that needs
+        // it; --jobs decides whether its digests run beside generation.
         std::cerr << versionLine("jcached")
-                  << ": bootstrapping trace registry...\n";
+                  << ": trace registry builds on first use\n";
         sim::setDefaultJobs(common.jobs);
-        sim::TraceSet::extended();
         if (coordinator)
             std::cerr << "jcached: coordinating "
                       << config.service.shard.workers.size()
