@@ -352,6 +352,7 @@ Service::Service(const ServiceConfig& config)
         store_config.dir = config_.storeDir;
         store_config.capBytes = config_.storeCapBytes;
         store_ = std::make_unique<store::ResultStore>(store_config);
+        writeBuffer_ = std::make_unique<store::WriteBuffer>(*store_);
     }
     if (!config_.shard.workers.empty())
         shard_ = std::make_unique<ShardPool>(config_.shard);
@@ -377,6 +378,9 @@ Service::~Service()
     queue_cv_.notify_all();
     for (std::thread& t : schedulers_)
         t.join();
+    // The schedulers' last puts are buffered: retire them, and answer
+    // the stats requests queued behind them.
+    writeBuffer_.reset();
 }
 
 void
@@ -402,7 +406,7 @@ Service::schedulerLoop()
         // The queue wait (sojourn) starts on the submitter's thread
         // and ends here: it feeds the wait histogram, the queue-wait
         // span, the CoDel controller, and the deadline check.
-        Clock::time_point now = Clock::now();
+        Clock::time_point now = admissionNow();
         double sojourn_seconds =
             std::chrono::duration<double>(now - job.submitted)
                 .count();
@@ -513,7 +517,7 @@ Service::submitAsync(Job job)
             ++rejectedBusy_;
             return false;
         }
-        job.submitted = Clock::now();
+        job.submitted = admissionNow();
         queue_.push_back(std::move(job));
     }
     queue_cv_.notify_one();
@@ -619,8 +623,9 @@ Service::cacheLookup(const std::string& digest)
         lookup_span.arg("hit", "memory");
         return hit;
     }
-    if (store_) {
-        auto disk = store_->get(digest);
+    if (writeBuffer_) {
+        // A put still buffered answers like the blob it will become.
+        auto disk = writeBuffer_->get(digest);
         if (disk) {
             // Promote: the next lookup of this key is a memory hit.
             cache_.insert(digest, *disk);
@@ -637,15 +642,14 @@ Service::cacheInsert(const std::string& digest,
                      const std::string& payload)
 {
     cache_.insert(digest, payload);
-    if (!store_)
-        return;
-    try {
-        store_->put(digest, payload);
-    } catch (const util::FsError&) {
-        // The result is computed and held in memory; a store that
-        // cannot take it costs persistence only, and counted the
-        // failure in its put_failures.
-    }
+    if (writeBuffer_)
+        writeBuffer_->append(digest, payload);
+}
+
+Service::Clock::time_point
+Service::admissionNow() const
+{
+    return config_.clock ? config_.clock() : Clock::now();
 }
 
 std::size_t
@@ -764,7 +768,7 @@ void
 Service::handleAsync(const std::string& request_json,
                      ResponseCallback done)
 {
-    Clock::time_point received = Clock::now();
+    Clock::time_point received = admissionNow();
     {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++requests_;
@@ -842,10 +846,17 @@ Service::dispatch(const std::string& type, JsonValue request,
         if (type == "upload")
             return admit(describeUpload(request), request, received,
                          request_id, done);
-        if (type == "stats")
-            return done(okResponse("stats", "", false,
-                                   statsPayload(snapshot()),
-                                   request_id));
+        if (type == "stats") {
+            auto answer = [this, request_id, done] {
+                done(okResponse("stats", "", false,
+                                statsPayload(snapshot()), request_id));
+            };
+            // Behind the buffered puts, so that the store block counts
+            // every result answered before it; the loop never waits.
+            if (writeBuffer_)
+                return writeBuffer_->afterPending(std::move(answer));
+            return answer();
+        }
         if (type == "health")
             return done(okResponse("health", "", false,
                                    healthPayload(snapshot()),
@@ -868,7 +879,7 @@ Service::dispatch(const std::string& type, JsonValue request,
         awaitRegistry({request_id, done,
                        [this, type, request = std::move(request),
                         request_id, done] {
-                           dispatch(type, request, Clock::now(),
+                           dispatch(type, request, admissionNow(),
                                     request_id, done);
                        }});
     } catch (const sim::UnknownTraceError& e) {

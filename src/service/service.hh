@@ -16,7 +16,9 @@
  *    API minor), so a repeated point is served without replay — and,
  *    when ServiceConfig::storeDir is set, a persistent ResultStore
  *    underneath it, so results survive restarts and are shared with
- *    `jcache-sweep --incremental`;
+ *    `jcache-sweep --incremental`.  A job is answered before its
+ *    result is on disk: a store::WriteBuffer takes the put and its
+ *    writer thread retires it, and lookups see the buffered results;
  *  - a bounded job queue drained by `--jobs` scheduler threads, each
  *    handing one simulation at a time to the unified engine API
  *    (sim::runBatch) on one WorkerPool of `--jobs` threads that
@@ -67,6 +69,7 @@
 #include "sim/sweeps.hh"
 #include "sim/trace_ref.hh"
 #include "store/store.hh"
+#include "store/write_buffer.hh"
 #include "telemetry/metrics.hh"
 
 namespace jcache::service
@@ -251,6 +254,16 @@ struct ServiceConfig
 
     /** Uploaded traces retained for by-digest runs (FIFO evicted). */
     std::size_t uploadTraceCapacity = 64;
+
+    /**
+     * The admission clock: it stamps a request's arrival (where its
+     * deadline_ms budget starts), its job's enqueue and its dequeue,
+     * and the two last give the sojourn the CoDel controller judges.
+     * Empty reads std::chrono::steady_clock.  For tests, which drive
+     * sojourns by hand so that they do not depend on the host's
+     * scheduling; jcached never sets it.
+     */
+    std::function<std::chrono::steady_clock::time_point()> clock;
 };
 
 /**
@@ -266,7 +279,11 @@ class Service
   public:
     explicit Service(const ServiceConfig& config = {});
 
-    /** Drains the queue, then joins the scheduler threads and pool. */
+    /**
+     * Drains the queue and joins the scheduler threads, then retires
+     * every buffered store put and answers every `stats` request
+     * waiting behind them, then joins the pool.
+     */
     ~Service();
 
     Service(const Service&) = delete;
@@ -500,18 +517,22 @@ class Service
                             const std::string& request_id);
 
     /**
-     * Two-tier result lookup: memory first, then the persistent
-     * store (when configured), promoting a disk hit into the memory
-     * cache so the next lookup is free.
+     * Two-tier result lookup: memory first, then (when configured)
+     * the store's write buffer and the persistent store, promoting
+     * their hit into the memory cache so the next lookup is free.
      */
     std::optional<std::string> cacheLookup(const std::string& digest);
 
     /**
-     * Insert into the memory cache and (when open) the store.  A
-     * store put that fails is counted by the store and swallowed.
+     * Insert into the memory cache and, when a store is open, append
+     * the put to the write buffer.  A store put that fails is counted
+     * by the store and swallowed on the writer thread.
      */
     void cacheInsert(const std::string& digest,
                      const std::string& payload);
+
+    /** Read the admission clock (ServiceConfig::clock). */
+    Clock::time_point admissionNow() const;
 
     void schedulerLoop();
 
@@ -533,6 +554,12 @@ class Service
 
     /** Disk tier under the memory cache; null when storeDir empty. */
     std::unique_ptr<store::ResultStore> store_;
+
+    /**
+     * The puts into store_ not yet retired, and the writer thread
+     * that retires them; null exactly when store_ is.
+     */
+    std::unique_ptr<store::WriteBuffer> writeBuffer_;
 
     /** Scatter pool; null unless configured as a coordinator. */
     std::unique_ptr<ShardPool> shard_;

@@ -167,6 +167,15 @@ ShardPool::execute(const sim::TraceRef& ref, bool flush,
         std::lock_guard<std::mutex> lock(mutex_);
         fatalIf(scatter_ != nullptr,
                 "ShardPool::execute is not reentrant");
+        // The first chunk goes to the next healthy worker in turn.
+        for (std::size_t i = 0; i < workers_.size(); ++i) {
+            std::size_t w = (nextFirst_ + i) % workers_.size();
+            if (workers_[w]->healthy) {
+                scatter.first = workers_[w].get();
+                nextFirst_ = (w + 1) % workers_.size();
+                break;
+            }
+        }
         scatter_ = &scatter;
     }
     workCv_.notify_all();
@@ -354,12 +363,15 @@ ShardPool::workerLoop(Worker& worker)
                 return stopping_ ||
                        (scatter_ != nullptr &&
                         scatter_->failureCode.empty() &&
-                        !scatter_->pending.empty());
+                        !scatter_->pending.empty() &&
+                        (scatter_->first == nullptr ||
+                         scatter_->first == &worker));
             });
         if (stopping_)
             return;
         if (scatter_ == nullptr || !scatter_->failureCode.empty() ||
-            scatter_->pending.empty())
+            scatter_->pending.empty() ||
+            (scatter_->first != nullptr && scatter_->first != &worker))
             continue;
         Scatter& s = *scatter_;
 
@@ -400,6 +412,11 @@ ShardPool::workerLoop(Worker& worker)
         Chunk chunk = std::move(s.pending.front());
         s.pending.pop_front();
         ++s.outstanding;
+        if (s.first != nullptr) {
+            // The rest of the chunks are open to every worker.
+            s.first = nullptr;
+            workCv_.notify_all();
+        }
         ++chunk.attempts;
         lock.unlock();
 

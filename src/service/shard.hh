@@ -107,7 +107,11 @@ struct ShardConfig
 
 /**
  * The coordinator's client pool: one connection thread per worker,
- * a shared chunk queue, merge in submission order.
+ * a shared chunk queue, merge in submission order.  The healthy
+ * workers take the first chunk of successive scatters in turn, so a
+ * stream of one-chunk scatters alternates between them rather than
+ * following whichever thread wins the lock, and a dead worker still
+ * marked healthy is tried, and found out, within one turn.
  *
  * execute() is called from the service scheduler thread (one scatter
  * in flight at a time); health() is safe from any thread.
@@ -143,6 +147,8 @@ class ShardPool
     std::size_t workerCount() const { return config_.workers.size(); }
 
   private:
+    struct Worker;
+
     struct Chunk
     {
         std::size_t firstCell = 0;            //!< offset into the grid
@@ -164,6 +170,13 @@ class ShardPool
 
         /** Failed recovery probes while no worker was healthy. */
         std::size_t probeFailures = 0;
+
+        /**
+         * The worker that takes the first chunk; null once it has,
+         * or when no worker was healthy at publication.  The other
+         * workers take no chunk before it.
+         */
+        Worker* first = nullptr;
     };
 
     struct Worker
@@ -205,6 +218,7 @@ class ShardPool
     std::condition_variable workCv_;   //!< wakes worker threads
     std::condition_variable doneCv_;   //!< wakes execute()
     Scatter* scatter_ = nullptr;       //!< null when idle
+    std::size_t nextFirst_ = 0;        //!< next Scatter::first candidate
     bool stopping_ = false;
 };
 

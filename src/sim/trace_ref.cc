@@ -136,6 +136,8 @@ TraceRepository::TraceRepository() = default;
 TraceRepository::TraceRepository(Config config)
     : config_(std::move(config))
 {
+    if (!config_.cacheDir.empty())
+        trace::sweepReplayCacheDir(config_.cacheDir);
 }
 
 ResolvedTrace
@@ -212,6 +214,8 @@ TraceRepository::resolveName(const std::string& name)
         std::string digest = trace::contentDigest(t);
         if (!config_.cacheDir.empty()) {
             trace::ensureReplayCache(t, digest, config_.cacheDir);
+            util::FileLock lock(
+                trace::replayCacheLockPath(config_.cacheDir));
             util::atomicWriteFile(nameRefPath(config_.cacheDir, name),
                                   digest);
         }

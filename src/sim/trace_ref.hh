@@ -206,6 +206,12 @@ class TraceRepository
     };
 
     TraceRepository();
+
+    /**
+     * A repository over `config`.  A configured cacheDir is swept
+     * first: its stale `*.tmp` files go, under the directory's lock
+     * (trace::sweepReplayCacheDir()).
+     */
     explicit TraceRepository(Config config);
 
     /** Resolve `ref`; throws UnknownTraceError when nothing matches. */

@@ -6,10 +6,12 @@
 #include "store/store.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -332,7 +334,6 @@ ResultStore::put(const std::string& digest,
                  const std::string& payload)
 {
     telemetry::Span span("store.put", "store");
-    std::lock_guard<std::mutex> lock(mutex_);
     std::string blob = encodeBlob(payload);
     if (config_.capBytes != 0 && blob.size() > config_.capBytes) {
         // Larger than the whole store: not cacheable at this cap.
@@ -342,8 +343,14 @@ ResultStore::put(const std::string& digest,
     // Workers sharing one store directory serialize their mutations
     // (blob write, cap eviction) on the store's lock file, so two
     // evictors never double-delete or double-count, and an opening
-    // peer never sweeps this put's temporary.
+    // peer never sweeps this put's temporary.  Threads of one process
+    // serialize on it too; mutex_ is not held across the disk I/O, so
+    // a get() never waits for a put's fsyncs.
     util::FileLock file_lock(lockPath());
+    if (JCACHE_FAULT("store.put.delay")) {
+        // Test hook: hold this put, lock taken, before its write.
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    }
     if (JCACHE_FAULT("store.put.crash")) {
         // The deterministic mid-put death for recovery tests: leave
         // a half-written temporary behind and vanish without stack
@@ -360,18 +367,28 @@ ResultStore::put(const std::string& digest,
     try {
         util::atomicWriteFile(path, blob, "store.blob.torn");
     } catch (const util::FsError&) {
+        std::lock_guard<std::mutex> lock(mutex_);
         ++putFailures_;
         countPutFailure();
         throw;
     }
-    putBytes_ += blob.size();
     countPutBytes(blob.size());
 
+    std::lock_guard<std::mutex> lock(mutex_);
+    putBytes_ += blob.size();
     Entry& entry = entries_[digest];
     occupancy_ = occupancy_ - entry.bytes + blob.size();
     entry.bytes = blob.size();
     entry.lastUse = ++tick_;
     evictToFit();
+}
+
+void
+ResultStore::countBufferedHit()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++hits_;
+    countLookup(true);
 }
 
 bool

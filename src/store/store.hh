@@ -25,12 +25,21 @@
  *     <dir>/objects/<digest>.jcr   one blob per result key
  *     <dir>/lock                   cross-process mutation flock
  *
- * Thread-safe: one mutex serializes get/put/eviction, so concurrent
- * connection handlers and sweep workers may share an instance.
+ * Thread-safe: one mutex guards the in-memory index, the counters
+ * and eviction; it is never held across a put's blob write, so a
+ * get() never waits for another thread's fsync.  Concurrent
+ * connection handlers, sweep workers and a WriteBuffer's writer
+ * thread may share an instance.
  * Cross-process safe: processes pointed at one directory take an
- * advisory flock on `<dir>/lock` around mutations (put + eviction,
- * and the open-time sweep of stale temporaries), and a blob evicted
- * by a peer surfaces as a plain miss on lookup, never as corruption.
+ * advisory flock on `<dir>/lock` around mutations (a put from its
+ * temporary through its rename and eviction, and the open-time sweep
+ * of stale temporaries), and a blob evicted by a peer surfaces as a
+ * plain miss on lookup, never as corruption.  Threads of one process
+ * serialize their puts on the same flock.
+ *
+ * jcached does not call put() on the thread that answers a request:
+ * store/write_buffer.hh queues the put and a writer thread retires
+ * it.  jcache-sweep calls put() directly.
  */
 
 #ifndef JCACHE_STORE_STORE_HH
@@ -146,12 +155,25 @@ class ResultStore
      * it was, counts in StoreStats::putFailures and rethrows the
      * FsError.
      *
-     * Fault sites: `store.put.crash` SIGKILLs mid-put (after the
-     * temporary file, before the rename) — the crash-recovery
-     * deterministic death; `store.blob.torn` makes the visible blob
-     * a torn prefix (see util/fs.hh).
+     * The blob is encoded, written, fsynced and renamed into place
+     * under `<dir>/lock` but outside the store mutex, which guards
+     * only the index update, the counters and eviction.
+     *
+     * Fault sites: `store.put.delay` sleeps 300 ms once the lock is
+     * taken, before the write (a held put, for tests);
+     * `store.put.crash` SIGKILLs mid-put (after the temporary file,
+     * before the rename) — the crash-recovery deterministic death;
+     * `store.blob.torn` makes the visible blob a torn prefix (see
+     * util/fs.hh).
      */
     void put(const std::string& digest, const std::string& payload);
+
+    /**
+     * Count a lookup that a WriteBuffer answered from a put still in
+     * flight as a hit, exactly as get() would have counted it had the
+     * put been synchronous.  Touches no index entry.
+     */
+    void countBufferedHit();
 
     /** True when `digest` is resident; does not touch recency. */
     bool contains(const std::string& digest) const;

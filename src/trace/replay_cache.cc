@@ -127,6 +127,27 @@ replayCachePath(const std::string& dir, const std::string& digestHex)
     return dir + "/" + digestHex + ".jcrc";
 }
 
+std::string
+replayCacheLockPath(const std::string& dir)
+{
+    return dir + "/lock";
+}
+
+void
+sweepReplayCacheDir(const std::string& dir)
+{
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    if (!fs::is_directory(dir, ec))
+        return;
+    util::FileLock lock(replayCacheLockPath(dir));
+    for (const fs::directory_entry& entry :
+         fs::directory_iterator(dir, ec)) {
+        if (entry.path().extension() == ".tmp")
+            fs::remove(entry.path(), ec);
+    }
+}
+
 void
 writeReplayCache(const Trace& trace, const std::string& path,
                  std::size_t blockRecords)
@@ -149,9 +170,11 @@ ensureReplayCache(const Trace& trace, const std::string& digest,
 {
     util::ensureDirectory(dir);
     const std::string path = replayCachePath(dir, digest);
-    if (!std::filesystem::exists(path))
-        util::atomicWriteFile(
-            path, encodeReplayCache(trace, digest, blockRecords));
+    if (std::filesystem::exists(path))
+        return path;
+    std::string bytes = encodeReplayCache(trace, digest, blockRecords);
+    util::FileLock lock(replayCacheLockPath(dir));
+    util::atomicWriteFile(path, bytes);
     return path;
 }
 

@@ -31,6 +31,15 @@
  * simply never opened again.  Writers go through
  * util::atomicWriteFile, so concurrent producers of the same trace
  * race benignly — both rename identical bytes into place.
+ *
+ * ## The directory lock
+ *
+ * Every writer of a cache file or name ref in a cache directory holds
+ * the flock `<dir>/lock` from its temporary to its rename, and every
+ * process that opens the directory (jcached's trace repository,
+ * jcache-sweep) sweeps the `*.tmp` files in it under that lock.  A
+ * temporary seen under the lock therefore belongs to a writer that
+ * was killed, and none is swept while its writer still runs.
  */
 
 #ifndef JCACHE_TRACE_REPLAY_CACHE_HH
@@ -72,6 +81,16 @@ class ReplayCacheError : public CorruptTraceError
 std::string replayCachePath(const std::string& dir,
                             const std::string& digestHex);
 
+/** `<dir>/lock` — the writers' lock of a replay-cache directory. */
+std::string replayCacheLockPath(const std::string& dir);
+
+/**
+ * Remove the `*.tmp` files in the replay-cache directory `dir`,
+ * holding its lock.  A missing `dir` has nothing to sweep and is not
+ * created.
+ */
+void sweepReplayCacheDir(const std::string& dir);
+
 /**
  * Serialize `trace` as a JCRC file at `path` (atomic write).
  *
@@ -83,7 +102,8 @@ void writeReplayCache(const Trace& trace, const std::string& path,
 /**
  * Ensure `dir` holds a replay cache for `trace` and return its path.
  * Creates the directory and writes `<contentDigest>.jcrc` when
- * missing; an existing file is trusted (the digest name is the
+ * missing, holding the directory lock from the temporary to the
+ * rename; an existing file is trusted (the digest name is the
  * invalidation key) and left untouched.  The records are digested
  * once.
  */

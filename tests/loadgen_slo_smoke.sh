@@ -92,7 +92,11 @@ BASELINE=$(goodput "$WORKDIR/moderate.txt")
 # Phase 3: 2x overload with a 1s deadline on simulation requests.
 # The daemon must shed (typed, with retry hints) rather than let the
 # queue grow without bound, and its control plane must stay fast.
-"$LOADGEN" --port "$PORT" --rate "$TWICE" --connections 16 \
+# A data connection carries one request at a time, so the connection
+# count caps what the daemon holds.  It must exceed the 16 queued
+# plus 2 running jobs, or the queue never fills and the generator,
+# not the daemon, falls behind the 2x schedule (late_dispatch).
+"$LOADGEN" --port "$PORT" --rate "$TWICE" --connections 64 \
     --duration 8 --deadline 1000 --mix run=85,health=15 \
     --require-goodput "$FLOOR" --require-class-p99-ms health:250 \
     --require-sheds \

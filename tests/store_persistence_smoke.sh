@@ -13,6 +13,9 @@
 #   3. a jcached restarted over the same --store-dir serves a run it
 #      never computed in-process: the store hit counter goes nonzero
 #      and the rendered table is byte-identical across the restart.
+#      The first daemon is stopped by SIGTERM right after it answers,
+#      while the run's put may still be in its write buffer, so the
+#      signal must reach the drain that lands it.
 #
 # Usage: store_persistence_smoke.sh <jcache-sweep> <jcached> \
 #            <jcache-client> <workdir>
@@ -113,8 +116,13 @@ start_daemon() {
     MPORT=$(cat "$METRICS_PORT_FILE")
 }
 
+# stop_daemon [term]: an in-band shutdown request, or SIGTERM.
 stop_daemon() {
-    "$CLIENT" --port "$PORT" shutdown > /dev/null || fail "shutdown"
+    if [ "${1:-}" = term ]; then
+        kill -TERM "$DAEMON_PID" || fail "SIGTERM"
+    else
+        "$CLIENT" --port "$PORT" shutdown > /dev/null || fail "shutdown"
+    fi
     tries=0
     while kill -0 "$DAEMON_PID" 2>/dev/null; do
         tries=$((tries + 1))
@@ -125,11 +133,11 @@ stop_daemon() {
     DAEMON_PID=""
 }
 
-# 3a. First daemon computes a run and persists it.
+# 3a. First daemon computes a run and persists it on its way out.
 start_daemon
 "$CLIENT" --port "$PORT" run ccom --size 16 \
     > "$WORKDIR/run_before.txt" || fail "run on first daemon"
-stop_daemon
+stop_daemon term
 
 # 3b. Second daemon over the same directory starts with a cold memory
 #     cache; the same run must be served from the store.

@@ -718,6 +718,156 @@ TEST(Service, FailedStorePutStillAnswersTheRun)
     fs::remove_all(dir);
 }
 
+namespace
+{
+
+/** A store directory of this test process, emptied now and at exit. */
+class ScratchStoreDir
+{
+  public:
+    explicit ScratchStoreDir(const std::string& tag)
+        : path_((std::filesystem::temp_directory_path() /
+                 ("jcache_service_" + tag + "_" +
+                  std::to_string(::getpid())))
+                    .string())
+    {
+        std::filesystem::remove_all(path_);
+    }
+
+    ~ScratchStoreDir() { std::filesystem::remove_all(path_); }
+
+    const std::string& path() const { return path_; }
+
+  private:
+    std::string path_;
+};
+
+/**
+ * A store under `dir` and no memory cache: every hit is served by the
+ * write buffer or the store.
+ */
+ServiceConfig
+diskTierConfig(const std::string& dir)
+{
+    ServiceConfig config = testConfig();
+    config.storeDir = dir;
+    config.cacheCapacity = 0;
+    return config;
+}
+
+/** A cached answer with its flag cleared, to compare with a fresh one. */
+std::string
+asFresh(std::string text)
+{
+    std::size_t flag = text.find("\"cached\": true");
+    if (flag != std::string::npos)
+        text.replace(flag, 14, "\"cached\": false");
+    return text;
+}
+
+} // namespace
+
+TEST(Service, AnswersARunBeforeItsStorePutLands)
+{
+    // store.put.delay=n1 holds the next put for 300 ms on the writer
+    // thread.  With the memory cache off, only the write buffer can
+    // answer a repeat meanwhile.
+    ScratchStoreDir dir("buffered");
+    ServiceConfig config = diskTierConfig(dir.path());
+    std::string fresh;
+    {
+        jcache::fault::configure("store.put.delay=n1");
+        Service service(config);
+        fresh = service.handle(runRequest("ccom", 4));
+        EXPECT_EQ(service.snapshot().store.entries, 0u)
+            << "the run was answered only after its put";
+        JsonValue v = parseResponse(fresh);
+        ASSERT_TRUE(v.getBool("ok", false)) << v.getString("error");
+        EXPECT_FALSE(v.getBool("cached", true));
+
+        // The repeat is served from the buffer, byte for byte.
+        std::string repeat = service.handle(runRequest("ccom", 4));
+        EXPECT_EQ(service.snapshot().store.entries, 0u);
+        EXPECT_TRUE(parseResponse(repeat).getBool("cached", false));
+        EXPECT_EQ(asFresh(repeat), fresh);
+
+        // stats is answered once the put has landed, and counts the
+        // buffered hit as a store hit.
+        JsonValue stats =
+            parseResponse(service.handle("{\"type\": \"stats\"}"));
+        const JsonValue& store = stats.get("payload").get("store");
+        EXPECT_DOUBLE_EQ(store.getNumber("entries", -1), 1.0);
+        EXPECT_DOUBLE_EQ(store.getNumber("hits", -1), 1.0);
+        EXPECT_DOUBLE_EQ(store.getNumber("misses", -1), 1.0);
+
+        // A second result's put is still held when the service is
+        // destroyed; the destructor finishes it.
+        jcache::fault::configure("store.put.delay=n1");
+        JsonValue second =
+            parseResponse(service.handle(runRequest("ccom", 8)));
+        EXPECT_TRUE(second.getBool("ok", false))
+            << second.getString("error");
+    }
+    jcache::fault::reset();
+
+    Service reopened(config);
+    std::string cached = reopened.handle(runRequest("ccom", 4));
+    EXPECT_TRUE(parseResponse(cached).getBool("cached", false));
+    EXPECT_EQ(asFresh(cached), fresh);
+    JsonValue second =
+        parseResponse(reopened.handle(runRequest("ccom", 8)));
+    EXPECT_TRUE(second.getBool("cached", false))
+        << "the destructor dropped a buffered put";
+}
+
+TEST(Service, AFullWriteBufferStallsTheScheduler)
+{
+    // The upload's put is held (store.put.delay=n1) and stays in the
+    // buffer until it lands, so the depth-th run behind it finds the
+    // buffer full and waits.  Every run replays the tiny uploaded
+    // trace, well inside the delay even in a sanitizer build.
+    ScratchStoreDir dir("stall");
+    ServiceConfig config = diskTierConfig(dir.path());
+    const jcache::telemetry::Counter& stalls =
+        jcache::telemetry::Registry::instance().counter(
+            "jcache_store_write_stalls_total",
+            "Result-store puts that waited on a full write buffer");
+    const bool was_armed = jcache::telemetry::armed();
+    jcache::telemetry::setArmed(true);
+    const std::uint64_t before = stalls.value();
+    jcache::fault::configure("store.put.delay=n1");
+    const std::size_t runs = jcache::store::kWriteBufferDepth + 1;
+    {
+        Service service(config);
+        JsonValue uploaded =
+            parseResponse(service.handle(uploadRequest(kMiniTrace)));
+        ASSERT_TRUE(uploaded.getBool("ok", false))
+            << uploaded.getString("error");
+        const std::string ref =
+            "digest:" +
+            uploaded.get("payload").getString("trace_digest");
+        for (std::size_t i = 0; i < runs; ++i) {
+            JsonValue v = parseResponse(service.handle(
+                "{\"type\": \"run\", \"trace_ref\": \"" + ref +
+                "\", \"config\": {\"size_bytes\": " +
+                std::to_string(1024u << (i % 6)) +
+                ", \"assoc\": " + std::to_string(1u << (i / 6)) +
+                "}}"));
+            EXPECT_TRUE(v.getBool("ok", false)) << v.getString("error");
+            EXPECT_FALSE(v.getBool("cached", true));
+        }
+        JsonValue stats =
+            parseResponse(service.handle("{\"type\": \"stats\"}"));
+        EXPECT_DOUBLE_EQ(
+            stats.get("payload").get("store").getNumber("entries", -1),
+            static_cast<double>(runs + 1));
+    }
+    jcache::fault::reset();
+    const std::uint64_t stalled = stalls.value() - before;
+    jcache::telemetry::setArmed(was_armed);
+    EXPECT_GE(stalled, 1u);
+}
+
 TEST(Service, ShedRetryHintsAreJittered)
 {
     jcache::fault::configure("service.admit=always");
@@ -833,32 +983,63 @@ TEST(Service, QueuedDeadlineExpiryIsShedAtDequeue)
 TEST(Service, CodelShedsTheMiddleOfASustainedBacklog)
 {
     // Every job sleeps 300ms (service.delay), the sojourn target is
-    // 1ms and the interval 25ms: with four jobs behind one executor
-    // the controller arms on the second dequeue and is dropping by
-    // the third.  The last job never sheds (nothing behind it), so
+    // 1ms and the interval 25ms.  Sojourns are read off a manual
+    // admission clock that the test moves only while a job sleeps, so
+    // no scheduling delay of the host counts: the head waits 0 ms,
+    // three waiters queue at 150 ms, the first is dequeued at 300 ms
+    // and arms the controller, and the other two are dequeued at
+    // 600 ms, a full interval above target, so the controller is
+    // dropping.  The last job never sheds (nothing behind it), so
     // exactly one of the three waiters bounces.
+    using Clock = std::chrono::steady_clock;
+    std::atomic<Clock::rep> manual_ticks{0};
+    auto set_clock_ms = [&](int millis) {
+        manual_ticks.store(std::chrono::duration_cast<Clock::duration>(
+                               std::chrono::hours(1) +
+                               std::chrono::milliseconds(millis))
+                               .count());
+    };
+    set_clock_ms(0);
     ServiceConfig config = testConfig();
     config.admission.targetMillis = 1.0;
     config.admission.intervalMillis = 25.0;
+    config.clock = [&manual_ticks] {
+        return Clock::time_point(Clock::duration(manual_ticks.load()));
+    };
     jcache::fault::configure("service.delay=always");
     Service service(config);
     // The head's request waits for the service to build its registry.
     // Generate the traces now, so that the build is instant and the
     // head runs before the waiters arrive, as the timing assumes.
     jcache::sim::TraceSet::extended();
+    auto wait_until = [](const auto& done) {
+        while (!done())
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
 
     std::thread head([&] { service.handle(runRequest("ccom", 4)); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
-    std::vector<std::string> responses(3);
-    std::vector<std::thread> waiters;
+    wait_until([&] {
+        return service.snapshot().admission.windowSamples == 1;
+    });
+    set_clock_ms(150);
+    std::mutex mutex;
+    std::condition_variable answered;
+    std::vector<std::string> responses;
     for (int i = 0; i < 3; ++i) {
-        waiters.emplace_back([&, i] {
-            responses[i] =
-                service.handle(runRequest("ccom", 8u << i));
-        });
+        service.handleAsync(runRequest("ccom", 8u << i),
+                            [&](std::string text) {
+                                std::lock_guard<std::mutex> lock(mutex);
+                                responses.push_back(std::move(text));
+                                answered.notify_one();
+                            });
     }
-    for (std::thread& t : waiters)
-        t.join();
+    set_clock_ms(300);
+    wait_until([&] { return service.queueDepth() == 2; });
+    set_clock_ms(600);
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        answered.wait(lock, [&] { return responses.size() == 3; });
+    }
     head.join();
     jcache::fault::reset();
 
@@ -1187,18 +1368,23 @@ TEST(Service, WireTranscriptMatchesTheGoldenFile)
                       service.handle(request) + "\n";
     };
 
+    auto send_jobs = [&](Service& service) {
+        for (const char* type : kJobTypes) {
+            std::string id = std::string(", \"request_id\": \"") + type;
+            send(service, jobRequest(type, 4, id + "-miss\""));
+            send(service, jobRequest(type, 4, id + "-hit\""));
+            send(service, jobRequest(type, 4,
+                                     ", \"deadline_ms\": 0" + id +
+                                         "-late-hit\""));
+            send(service, jobRequest(type, 16,
+                                     ", \"deadline_ms\": 0" + id +
+                                         "-late-miss\""));
+        }
+    };
+
     Service service(testConfig());
-    for (const char* type : kJobTypes) {
-        std::string id = std::string(", \"request_id\": \"") + type;
-        send(service, jobRequest(type, 4, id + "-miss\""));
-        send(service, jobRequest(type, 4, id + "-hit\""));
-        send(service, jobRequest(type, 4,
-                                 ", \"deadline_ms\": 0" + id +
-                                     "-late-hit\""));
-        send(service, jobRequest(type, 16,
-                                 ", \"deadline_ms\": 0" + id +
-                                     "-late-miss\""));
-    }
+    send_jobs(service);
+    const std::size_t jobs_end = transcript.size();
 
     // Shed at admission, each by a fresh service: the hint is the
     // first draw of the seeded jitter around the 200 ms guess.
@@ -1237,6 +1423,17 @@ TEST(Service, WireTranscriptMatchesTheGoldenFile)
     send(small, jobRequest("upload", 4));
 
     expectGolden("service_wire.txt", transcript);
+
+    // The job requests again, with no memory cache: hits now come
+    // from the store's write buffer or its disk, in the same bytes.
+    const std::string refusals = transcript.substr(jobs_end);
+    ScratchStoreDir dir("wire");
+    transcript.clear();
+    {
+        Service disk_tier(diskTierConfig(dir.path()));
+        send_jobs(disk_tier);
+    }
+    expectGolden("service_wire.txt", transcript + refusals);
 }
 
 TEST(Service, UploadRefusalsCountAsErrors)

@@ -223,6 +223,29 @@ TEST_F(ShardIntegrationTest, WorkerHealthInNodeBlock)
     EXPECT_GT(completed, 0.0);
 }
 
+TEST_F(ShardIntegrationTest, OneChunkSweepsAlternateBetweenWorkers)
+{
+    // Each sweep is one chunk, and with the coordinator's cache off
+    // every one scatters: four in a row go to the workers in turn.
+    ServiceConfig config =
+        coordinatorConfig({workerSpec(0), workerSpec(1)});
+    config.cacheCapacity = 0;
+    Service coordinator(config);
+    for (int i = 0; i < 4; ++i) {
+        ASSERT_TRUE(parse(coordinator.handle(kSweepRequest))
+                        .getBool("ok", false));
+    }
+    JsonValue node = parse(coordinator.handle("{\"type\": \"stats\"}"))
+                         .get("payload")
+                         .get("node");
+    const JsonValue& workers = node.get("workers");
+    ASSERT_EQ(workers.items().size(), 2u);
+    for (const JsonValue& w : workers.items()) {
+        EXPECT_EQ(w.getNumber("chunks_completed", 0), 2.0)
+            << w.getString("address");
+    }
+}
+
 TEST_F(ShardIntegrationTest, UnreachableWorkerRescattersAndDegrades)
 {
     // Worker 1 plus an address nobody listens on: the scatter must

@@ -5,15 +5,18 @@
  * round trips, persistence across instances, torn blob tolerance,
  * a failed put, LRU eviction, the mid-put SIGKILL recovery property,
  * key versioning (an engine or API bump must miss, never alias), a
- * concurrent get/put stress, and opens of the directory racing a put.
+ * concurrent get/put stress, opens of the directory racing a put, and
+ * a get that never waits for another key's put.
  */
 
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -380,6 +383,27 @@ TEST_F(StoreTest, ReopenDuringPutsNeverSweepsAPutInFlight)
     for (const auto& entry :
          fs::directory_iterator(fs::path(dir_) / "objects"))
         EXPECT_NE(entry.path().extension(), ".tmp");
+}
+
+TEST_F(StoreTest, GetNeverWaitsForAnotherKeysPut)
+{
+    // store.put.delay holds a put for 300 ms once it has the
+    // directory lock, before its write.  The store mutex is not held
+    // across a put's disk I/O, so a get of a resident key on another
+    // thread returns while that put is still held: its entry is not
+    // in the index yet.
+    ResultStore store(config_);
+    store.put(key(1), "resident");
+    fault::configure("store.put.delay=n1");
+    std::thread writer([&] { store.put(key(2), "held"); });
+    while (fault::stats("store.put.delay").injected == 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::optional<std::string> hit = store.get(key(1));
+    const bool put_still_held = !store.contains(key(2));
+    writer.join();
+    EXPECT_EQ(hit.value_or(""), "resident");
+    EXPECT_TRUE(put_still_held) << "the get waited for the held put";
+    EXPECT_TRUE(store.contains(key(2)));
 }
 
 // --- Canonical result keys -------------------------------------------

@@ -4,15 +4,18 @@
  * TraceRef parsing and canonical specs, and TraceRepository
  * resolution across the registry, uploaded traces, replay-cache
  * directories, and the workload generator; the registry is reached
- * only when a ref needs it.
+ * only when a ref needs it, and opening a cache directory sweeps the
+ * temporaries of dead writers only.
  */
 
 #include <unistd.h>
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -343,6 +346,66 @@ TEST(TraceRepository, CacheFileNameWinsOverTheRegistryForItsDigest)
     EXPECT_NE(mapped.identity,
               trace::traceIdentity(TraceSet::standard().get("ccom")));
     EXPECT_EQ(registry.calls.load(), 0);
+}
+
+TEST(TraceRepository, OpeningACacheDirSweepsStaleTemporaries)
+{
+    TempDir dir("jcache_ref_sweep");
+    trace::Trace t = miniTrace("kept", 32);
+    const std::string kept = trace::ensureReplayCache(t, dir.path);
+    // What a JCRC writer and a name-ref writer killed before their
+    // renames leave behind.
+    const std::string stale_cache = kept + ".a1B2c3.tmp";
+    const std::string stale_ref =
+        dir.path + "/n0123456789abcdef.ref.d4E5f6.tmp";
+    std::ofstream(stale_cache) << "half a cache file";
+    std::ofstream(stale_ref) << "01234567";
+
+    TraceRepository::Config config;
+    config.cacheDir = dir.path;
+    TraceRepository repo(config);
+    EXPECT_FALSE(fs::exists(stale_cache));
+    EXPECT_FALSE(fs::exists(stale_ref));
+    EXPECT_EQ(
+        repo.resolve(TraceRef::byDigest(trace::contentDigest(t))).name,
+        "kept");
+}
+
+TEST(TraceRepository, OpeningACacheDirNeverSweepsAWriteInFlight)
+{
+    // A second repository on the same directory takes its own flock,
+    // so one process stands in for two: the peer's opens sweep stale
+    // temporaries, and must never sweep the temporary of a cache file
+    // that is still being written.
+    TempDir dir("jcache_ref_sweep_race");
+    fs::create_directories(dir.path);
+    TraceRepository::Config config;
+    config.cacheDir = dir.path;
+    std::atomic<bool> stop{false};
+    std::thread reopener([&] {
+        while (!stop.load())
+            TraceRepository peer(config);
+    });
+    unsigned failures = 0;
+    for (unsigned i = 0; i < 100; ++i) {
+        try {
+            trace::ensureReplayCache(miniTrace("writer", 1024 + i),
+                                     dir.path);
+        } catch (const FatalError& e) {
+            ADD_FAILURE() << "write " << i << ": " << e.what();
+            ++failures;
+        }
+    }
+    stop.store(true);
+    reopener.join();
+    EXPECT_EQ(failures, 0u);
+    std::size_t caches = 0;
+    for (const auto& entry : fs::directory_iterator(dir.path)) {
+        EXPECT_NE(entry.path().extension(), ".tmp");
+        if (entry.path().extension() == ".jcrc")
+            ++caches;
+    }
+    EXPECT_EQ(caches, 100u);
 }
 
 } // namespace

@@ -245,6 +245,8 @@ main(int argc, char** argv)
         std::unique_ptr<trace::MappedReplayCache> mapped;
         if (!trace_cache_dir.empty()) {
             telemetry::Span span("trace.replay_cache", "sim");
+            // Temporaries of writers killed before their rename.
+            trace::sweepReplayCacheDir(trace_cache_dir);
             std::string cache_path =
                 trace::ensureReplayCache(trace, digest, trace_cache_dir);
             mapped = std::make_unique<trace::MappedReplayCache>(

@@ -40,7 +40,10 @@
  * --store-dir opens the persistent result store under the in-memory
  * result cache (docs/STORAGE.md): results survive restarts and are
  * shared with `jcache-sweep --incremental` runs over the same
- * directory.  --store-cap-bytes bounds it (default 256 MiB).
+ * directory.  --store-cap-bytes bounds it (default 256 MiB).  A job
+ * is answered before its result is on disk: a writer thread retires
+ * the puts from a write buffer, and SIGINT, SIGTERM and `shutdown`
+ * drain that buffer before the daemon exits.
  *
  * --trace-cache-dir points the daemon's trace repository at a
  * replay-cache directory (docs/ENGINE.md): `digest:` trace
