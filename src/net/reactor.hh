@@ -1,6 +1,6 @@
 /**
  * @file
- * Readiness-driven event loop (epoll with a poll fallback).
+ * Readiness-driven event loop over epoll.
  *
  * The reactor multiplexes every jcached connection onto one thread:
  * file descriptors register a callback and a read/write interest set,
@@ -9,11 +9,10 @@
  * wait, so cross-thread completions land within the same iteration
  * rather than after the next timeout).
  *
- * Two backends implement the wait.  Linux gets epoll — O(ready)
- * dispatch, interest changes are kernel-side — and everything else
- * (or `JCACHE_NET_POLL=1`, which CI uses to exercise the fallback)
- * gets poll(2) over a rebuilt pollfd vector.  Both present the same
- * Poller interface, chosen once at construction.
+ * Readiness is level-triggered: an fd that stays readable or
+ * writable is dispatched again on every iteration until its interest
+ * bits change.  Interest lives in the kernel (epoll_ctl), so a wait
+ * costs O(ready fds), not O(registered fds).
  */
 
 #ifndef JCACHE_NET_REACTOR_HH
@@ -21,7 +20,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -38,53 +36,11 @@ enum : unsigned
 };
 
 /**
- * Backend-neutral readiness poller.  One ready fd per Event; wait()
- * fills `out` with at most its capacity and returns the count.
- */
-class Poller
-{
-  public:
-    /** One readiness report from wait(). */
-    struct Event
-    {
-        int fd = -1;        //!< the ready descriptor
-        unsigned events = 0;  //!< kReadable/kWritable/kHangup bits
-    };
-
-    virtual ~Poller() = default;
-
-    /** Start monitoring `fd` with the given interest bits. */
-    virtual bool add(int fd, unsigned interest) = 0;
-
-    /** Replace the interest bits for a monitored fd. */
-    virtual bool modify(int fd, unsigned interest) = 0;
-
-    /** Stop monitoring `fd`. */
-    virtual void remove(int fd) = 0;
-
-    /**
-     * Block up to `timeout_millis` (-1 = indefinitely) for readiness;
-     * returns the number of events written to `out`.
-     */
-    virtual std::size_t wait(std::vector<Event>& out,
-                             int timeout_millis) = 0;
-
-    /** Backend name for logs and tests ("epoll" or "poll"). */
-    virtual const char* backend() const = 0;
-
-    /**
-     * Build the best available backend: epoll on Linux unless
-     * creation fails or JCACHE_NET_POLL=1 forces the fallback.
-     */
-    static std::unique_ptr<Poller> create();
-};
-
-/**
  * The event loop: fd callbacks plus a cross-thread task queue.
  *
  * Not thread-safe except where noted — add/setInterest/remove and
- * runOnce() belong to the loop thread; post() and wake() may be
- * called from anywhere.
+ * runOnce() belong to the loop thread; post() may be called from
+ * anywhere.
  */
 class Reactor
 {
@@ -98,7 +54,7 @@ class Reactor
     Reactor(const Reactor&) = delete;
     Reactor& operator=(const Reactor&) = delete;
 
-    /** False when neither backend nor the wakeup pipe could be set up. */
+    /** False when epoll or the wakeup pipe could not be set up. */
     bool valid() const;
 
     /** Register `fd` with interest bits and a dispatch callback. */
@@ -124,17 +80,13 @@ class Reactor
      */
     std::size_t runOnce(int timeout_millis);
 
-    /** Backend name, surfaced in logs and the stats payload. */
-    const char* backend() const;
-
   private:
     void drainPosted();
 
-    std::unique_ptr<Poller> poller_;
+    int epfd_ = -1;
     int wakeRead_ = -1;
     int wakeWrite_ = -1;
     std::unordered_map<int, Callback> callbacks_;
-    std::vector<Poller::Event> ready_;
     std::mutex postedMutex_;
     std::vector<std::function<void()>> posted_;
 };

@@ -34,6 +34,9 @@ frameErrorResponse(net::FrameStatus status)
 /** Event-loop tick period: bounds shutdown and idle-check latency. */
 constexpr int kTickMillis = 250;
 
+/** Grace period for draining connections after stop. */
+constexpr std::chrono::milliseconds kDrainGrace{1000};
+
 } // namespace
 
 AsyncServer::AsyncServer(const AsyncServerConfig& config)
@@ -51,7 +54,7 @@ AsyncServer::start(std::string* error)
 {
     if (!reactor_.valid()) {
         if (error)
-            *error = "no poller backend available";
+            *error = "cannot set up the epoll event loop";
         return false;
     }
     listener_ = net::Listener::listenOn(config_.port, error);
@@ -79,9 +82,7 @@ AsyncServer::serve()
                 listening = false;
             }
             listener_.close();
-            drain_deadline =
-                now +
-                std::chrono::milliseconds(config_.drainGraceMillis);
+            drain_deadline = now + kDrainGrace;
         }
         tick(now);
         if (draining_ &&

@@ -65,9 +65,6 @@ struct AsyncServerConfig
      */
     unsigned maxPipelinedRequests = 128;
 
-    /** Grace period for draining connections after stop, millis. */
-    unsigned drainGraceMillis = 1000;
-
     ServiceConfig service;
 };
 
@@ -85,8 +82,8 @@ class AsyncServer
 
     /**
      * Bind the listener.  Returns false (and sets `error` when
-     * non-null) if the port is unavailable or no poller backend could
-     * be constructed.
+     * non-null) if the port is unavailable or the event loop could
+     * not be set up.
      */
     bool start(std::string* error = nullptr);
 
@@ -107,9 +104,6 @@ class AsyncServer
 
     /** The request router (for tests and in-process callers). */
     Service& service() { return service_; }
-
-    /** The active poller backend name ("epoll" or "poll"). */
-    const char* backend() const { return reactor_.backend(); }
 
   private:
     using Clock = std::chrono::steady_clock;

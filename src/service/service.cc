@@ -31,6 +31,21 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
+/**
+ * Seed of the deterministic retry_after_ms jitter.  Two sheds draw
+ * distinct hints from one seeded sequence, so a herd of shed clients
+ * spreads out instead of returning in lockstep.
+ */
+constexpr std::uint64_t kRetryJitterSeed = 42;
+
+/**
+ * Largest accepted `batch` request, in grid cells.  The shard
+ * coordinator scatters 16-cell chunks (a scatter size, not an engine
+ * boundary); the cap only guards a hand-built request from queueing
+ * unbounded work.
+ */
+constexpr std::size_t kBatchCapCells = 1024;
+
 /** Bump the armed-only per-type request counter. */
 void
 countRequest(const std::string& type)
@@ -313,18 +328,15 @@ struct RegistryPending
 {
 };
 
-/** TraceRepository wiring of one daemon: registry + uploads +
- * optional mapped tier; the wire never names server-side paths. */
+/** TraceRepository wiring of one daemon: registry + uploads (at the
+ * repository's default capacity) + optional mapped tier. */
 sim::TraceRepository::Config
 repoConfig(const ServiceConfig& config,
            std::function<const sim::TraceSet&()> registry)
 {
     sim::TraceRepository::Config rc;
     rc.registry = std::move(registry);
-    rc.generateUnknownNames = false;
-    rc.allowPaths = false;
     rc.cacheDir = config.traceCacheDir;
-    rc.uploadCapacity = config.uploadTraceCapacity;
     return rc;
 }
 
@@ -996,11 +1008,11 @@ Service::describeBatch(const JsonValue& request)
     const JsonValue& cells = request.get("configs");
     fatalIf(!cells.isArray() || cells.items().empty(),
             "batch request needs a non-empty 'configs' array");
-    fatalIf(cells.items().size() > config_.batchCapCells,
+    fatalIf(cells.items().size() > kBatchCapCells,
             "batch request has " +
                 std::to_string(cells.items().size()) +
                 " cells; this daemon accepts at most " +
-                std::to_string(config_.batchCapCells));
+                std::to_string(kBatchCapCells));
     // Unlike run, a batch defaults flush off: its cells are sweep
     // points, and sweeps replay without the end-of-run flush.
     spec.flush = request.getBool("flush", false);
@@ -1132,7 +1144,7 @@ Service::retryAfterMillis(double scale) const
     // would march every shed client back in lockstep, re-colliding
     // at exactly the moment the queue was full last time.
     std::uint64_t draw = mixJitter(
-        config_.retryJitterSeed +
+        kRetryJitterSeed +
         jitterSeq_.fetch_add(1, std::memory_order_relaxed));
     double fraction =
         0.75 + 0.5 * (static_cast<double>(draw >> 11) /

@@ -158,7 +158,7 @@ struct ServiceSnapshot
     /** Per-worker scatter health; empty on a single node. */
     std::vector<WorkerHealth> workers;
 
-    /** Transport connections open right now (both server kinds). */
+    /** Transport connections open right now. */
     std::uint64_t connectionsOpen = 0;
 
     /** Transport connections accepted since start. */
@@ -221,21 +221,6 @@ struct ServiceConfig
     AdmissionConfig admission;
 
     /**
-     * Seed of the deterministic retry_after_ms jitter.  Two sheds
-     * draw distinct hints from one seeded sequence, so a herd of
-     * shed clients spreads out instead of returning in lockstep.
-     */
-    std::uint64_t retryJitterSeed = 42;
-
-    /**
-     * Largest accepted `batch` request, in grid cells.  The shard
-     * coordinator scatters 16-cell chunks (ShardConfig::chunkCells,
-     * a scatter size, not an engine boundary); the cap only guards a
-     * hand-built request from queueing unbounded work.
-     */
-    std::size_t batchCapCells = 1024;
-
-    /**
      * Shard topology (jcached --coordinator --workers ...).  A
      * non-empty worker list makes this service a coordinator: run,
      * sweep and batch grids scatter to the workers instead of the
@@ -251,9 +236,6 @@ struct ServiceConfig
      * mmap'd.  Empty disables the mapped tier.
      */
     std::string traceCacheDir;
-
-    /** Uploaded traces retained for by-digest runs (FIFO evicted). */
-    std::size_t uploadTraceCapacity = 64;
 
     /**
      * The admission clock: it stamps a request's arrival (where its
@@ -588,7 +570,7 @@ class Service
     std::atomic<bool> shutdown_{false};
     std::atomic<bool> stopping_{false};
 
-    /** Transport connection gauges (fed by both server kinds). */
+    /** Transport connection gauges (fed by the AsyncServer). */
     std::atomic<std::uint64_t> connectionsOpen_{0};
     std::atomic<std::uint64_t> connectionsAccepted_{0};
 

@@ -23,6 +23,15 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
+/**
+ * Grid cells per scattered batch.  Only the scatter size: each worker
+ * plans its chunk into passes as it would a local batch request.
+ */
+constexpr std::size_t kChunkCells = 16;
+
+/** Consecutive failures before a worker is marked unhealthy. */
+constexpr unsigned kFailuresToUnhealthy = 3;
+
 /** Bump the armed-only per-worker scatter counter. */
 void
 countScatter(const std::string& worker_address)
@@ -95,8 +104,6 @@ ShardPool::ShardPool(const ShardConfig& config) : config_(config)
 {
     fatalIf(config_.workers.empty(),
             "ShardPool needs at least one worker");
-    fatalIf(config_.chunkCells == 0,
-            "ShardPool chunkCells must be positive");
     for (const WorkerSpec& spec : config_.workers) {
         auto worker = std::make_unique<Worker>();
         worker->spec = spec;
@@ -152,12 +159,10 @@ ShardPool::execute(const sim::TraceRef& ref, bool flush,
     scatter.flush = flush;
     scatter.deadline = deadline;
     scatter.results.resize(configs.size());
-    for (std::size_t i = 0; i < configs.size();
-         i += config_.chunkCells) {
+    for (std::size_t i = 0; i < configs.size(); i += kChunkCells) {
         Chunk chunk;
         chunk.firstCell = i;
-        std::size_t end =
-            std::min(configs.size(), i + config_.chunkCells);
+        std::size_t end = std::min(configs.size(), i + kChunkCells);
         chunk.configs.assign(configs.begin() + i,
                              configs.begin() + end);
         scatter.pending.push_back(std::move(chunk));
@@ -208,7 +213,7 @@ ShardPool::noteFailure(Worker& worker)
 {
     ++worker.consecutiveFailures;
     ++worker.chunksFailed;
-    if (worker.consecutiveFailures >= config_.failuresToUnhealthy)
+    if (worker.consecutiveFailures >= kFailuresToUnhealthy)
         worker.healthy = false;
 }
 

@@ -4,13 +4,12 @@
  *
  * A coordinator jcached owns no executor of its own beyond the usual
  * bounded queue: when a run/sweep job reaches the scheduler, the
- * ShardPool splits its grid cells into chunks of
- * ShardConfig::chunkCells and scatters the chunks as API 1.4 `batch`
- * requests over persistent connections to the configured workers.
- * Every worker computes raw counts through the same sim::runBatch
- * path as a local daemon, and counts round-trip the wire exactly
- * (service/render.hh), so the merged response is byte-identical to
- * a single-node answer.
+ * ShardPool splits its grid cells into chunks of 16 cells and
+ * scatters the chunks as API 1.4 `batch` requests over persistent
+ * connections to the configured workers.  Every worker computes raw
+ * counts through the same sim::runBatch path as a local daemon, and
+ * counts round-trip the wire exactly (service/render.hh), so the
+ * merged response is byte-identical to a single-node answer.
  *
  * Failure semantics: a chunk that fails on one worker (connect/frame
  * error, daemon error response) is re-queued and re-scattered to any
@@ -82,18 +81,8 @@ struct ShardConfig
     /** Worker daemons; empty means single-node (no ShardPool). */
     std::vector<WorkerSpec> workers;
 
-    /**
-     * Grid cells per scattered batch.  Only the scatter size: each
-     * worker plans its chunk into passes as it would a local batch
-     * request.
-     */
-    std::size_t chunkCells = 16;
-
     /** Per-operation socket timeout on worker connections. */
     unsigned requestTimeoutMillis = 30000;
-
-    /** Consecutive failures before a worker is marked unhealthy. */
-    unsigned failuresToUnhealthy = 3;
 
     /** Pause between ping probes of an unhealthy worker. */
     unsigned probeIntervalMillis = 200;

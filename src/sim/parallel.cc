@@ -8,12 +8,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <mutex>
 #include <sstream>
 #include <thread>
 
-#include "stats/csv.hh"
 #include "stats/json.hh"
 #include "stats/table.hh"
 #include "telemetry/metrics.hh"
@@ -41,11 +39,6 @@ unsigned
 defaultJobs()
 {
     unsigned jobs = default_jobs_override.load();
-    if (jobs == 0) {
-        if (const char* env = std::getenv("JCACHE_JOBS"))
-            jobs = static_cast<unsigned>(std::strtoul(env, nullptr,
-                                                      10));
-    }
     if (jobs == 0)
         jobs = std::thread::hardware_concurrency();
     return jobs == 0 ? 1 : jobs;
@@ -91,23 +84,6 @@ SweepReport::utilization() const
         return 0.0;
     double u = busySeconds() / (threads * wallSeconds);
     return u > 1.0 ? 1.0 : u;
-}
-
-void
-SweepReport::writeCsv(std::ostream& os) const
-{
-    stats::CsvWriter csv(os);
-    csv.writeRow({"job", "wall_seconds", "instructions",
-                  "m_ins_per_sec"});
-    for (std::size_t i = 0; i < timings.size(); ++i) {
-        const JobTiming& t = timings[i];
-        double mips = t.wallSeconds > 0.0
-            ? static_cast<double>(t.instructions) / t.wallSeconds / 1e6
-            : 0.0;
-        csv.writeRow(std::to_string(i),
-                     {t.wallSeconds, static_cast<double>(t.instructions),
-                      mips});
-    }
 }
 
 void

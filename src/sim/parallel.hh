@@ -14,7 +14,7 @@
  *
  * Observability rides along: every run produces a SweepReport with
  * per-job wall time, replayed-instruction throughput and thread
- * utilization, exportable as CSV or JSON.
+ * utilization, exportable as JSON.
  */
 
 #ifndef JCACHE_SIM_PARALLEL_HH
@@ -38,9 +38,8 @@ namespace jcache::sim
 
 /**
  * Default worker count for executors constructed with threads = 0:
- * the process-wide override set by setDefaultJobs() if any, else the
- * JCACHE_JOBS environment variable, else hardware concurrency.
- * Always at least 1.
+ * the process-wide override set by setDefaultJobs() if any, else
+ * hardware concurrency.  Always at least 1.
  */
 unsigned defaultJobs();
 
@@ -107,9 +106,6 @@ struct SweepReport
      * busySeconds / (threads * wallSeconds).
      */
     double utilization() const;
-
-    /** One row per job: index, wall seconds, instructions, M ins/s. */
-    void writeCsv(std::ostream& os) const;
 
     /** Grid summary plus the per-job array, as a JSON object. */
     void writeJson(std::ostream& os) const;

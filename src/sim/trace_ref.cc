@@ -10,13 +10,9 @@
 #include <utility>
 
 #include "sim/sweeps.hh"
-#include "trace/import.hh"
 #include "trace/replay.hh"
 #include "trace/replay_cache.hh"
 #include "trace/trace.hh"
-#include "util/digest.hh"
-#include "util/fs.hh"
-#include "workloads/workload.hh"
 
 namespace jcache::sim
 {
@@ -40,13 +36,6 @@ bool
 hasPrefix(const std::string& s, const char* prefix)
 {
     return s.rfind(prefix, 0) == 0;
-}
-
-/** The name-ref file beside the replay caches: name -> digest. */
-std::string
-nameRefPath(const std::string& dir, const std::string& name)
-{
-    return dir + "/n" + util::fnv1aHex(name) + ".ref";
 }
 
 /** Fill the name, digest and identity of `r`, which replays `t`. */
@@ -80,12 +69,6 @@ TraceRef
 TraceRef::byName(std::string name)
 {
     return TraceRef(Kind::Name, std::move(name));
-}
-
-TraceRef
-TraceRef::byPath(std::string path)
-{
-    return TraceRef(Kind::Path, std::move(path));
 }
 
 TraceRef
@@ -185,43 +168,6 @@ TraceRepository::resolveName(const std::string& name)
             if (traces[i].name() == name)
                 return wrapRegistry(registry, i);
     }
-
-    // A replay-cache directory may already hold this trace from an
-    // earlier process: the name-ref file maps the name to its digest
-    // so the cache is mapped instead of the generator re-run.
-    if (!config_.cacheDir.empty()) {
-        std::optional<std::string> digest =
-            util::readFileIfExists(nameRefPath(config_.cacheDir, name));
-        if (digest && isHexDigest(*digest)) {
-            try {
-                ResolvedTrace r = openMapped(*digest);
-                if (r.name == name)
-                    return r;
-            } catch (const FatalError&) {
-                // Stale or torn ref: fall through to regeneration.
-            }
-        }
-    }
-
-    if (config_.generateUnknownNames) {
-        std::unique_ptr<workloads::Workload> workload;
-        try {
-            workload = workloads::makeWorkload(name);
-        } catch (const FatalError&) {
-            throw UnknownTraceError("unknown trace name: " + name);
-        }
-        trace::Trace t = workloads::generateTrace(*workload);
-        std::string digest = trace::contentDigest(t);
-        if (!config_.cacheDir.empty()) {
-            trace::ensureReplayCache(t, digest, config_.cacheDir);
-            util::FileLock lock(
-                trace::replayCacheLockPath(config_.cacheDir));
-            util::atomicWriteFile(nameRefPath(config_.cacheDir, name),
-                                  digest);
-        }
-        return wrapOwned(std::move(t), std::move(digest));
-    }
-
     throw UnknownTraceError("unknown trace name: " + name);
 }
 
@@ -255,19 +201,10 @@ TraceRepository::resolveLocked(const TraceRef& ref)
 {
     fatalIf(ref.empty(), "empty trace reference");
 
-    if (ref.kind() == TraceRef::Kind::Path) {
-        if (!config_.allowPaths)
-            throw UnknownTraceError(
-                "path trace references are not allowed here: " +
-                ref.value());
-        const std::string spec = ref.spec();
-        auto it = cache_.find(spec);
-        if (it != cache_.end())
-            return it->second;
-        ResolvedTrace r = wrapOwned(trace::loadAnyTrace(ref.value()));
-        cache_.emplace(spec, r);
-        return r;
-    }
+    if (ref.kind() == TraceRef::Kind::Path)
+        throw UnknownTraceError(
+            "path trace references are not allowed here: " +
+            ref.value());
 
     if (ref.kind() == TraceRef::Kind::Digest)
         // Uploads are their own store (FIFO-evicted) and a mapped

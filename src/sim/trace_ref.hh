@@ -10,8 +10,9 @@
  * would have meant one more ad-hoc spelling per layer.  A TraceRef
  * names a trace one of three ways:
  *
- *  - **name** — a registered/generated workload ("grr");
- *  - **path** — a trace file on disk, any import format;
+ *  - **name** — a registry workload ("grr");
+ *  - **path** — a trace file on disk, which the tools load themselves
+ *    (trace::loadAnyTrace()); the repository resolves none;
  *  - **digest** — the 16-hex content digest of a trace that exists
  *    somewhere already: uploaded to the service, generated by the
  *    registry, or sitting in a replay-cache directory.
@@ -71,18 +72,15 @@ class TraceRef
   public:
     enum class Kind : std::uint8_t
     {
-        Name,    //!< registered or generatable workload name
+        Name,    //!< registry workload name
         Path,    //!< trace file on disk (any import format)
         Digest,  //!< 16-hex content digest of a known trace
     };
 
     TraceRef() = default;
 
-    /** A ref to a registered or generatable workload name. */
+    /** A ref to a registry workload name. */
     static TraceRef byName(std::string name);
-
-    /** A ref to a trace file on disk (any import format). */
-    static TraceRef byPath(std::string path);
 
     /** Throws FatalError unless `digest` is 16 hex chars. */
     static TraceRef byDigest(std::string digest);
@@ -158,15 +156,9 @@ struct ResolvedTrace
  *
  * Resolution order:
  *
- *  - **name** — registry first; then the replay-cache directory via
- *    the name ref file (a generated trace leaves `n<fnv1a(name)>.ref`
- *    beside its `<digest>.jcrc`, so a later process maps the cache
- *    instead of regenerating); then, when `generateUnknownNames`,
- *    the workload generator (writing the cache files when a cache
- *    directory is configured).
- *  - **path** — loaded via trace::loadAnyTrace(); refused when
- *    `allowPaths` is false (the service never lets the wire name
- *    server-side files).
+ *  - **name** — the registry only.
+ *  - **path** — never: the wire must not name server-side files, so
+ *    a path ref throws UnknownTraceError.
  *  - **digest** — uploads first, then `<digest>.jcrc` in the cache
  *    directory, then the registry (whose digests TraceSet computed
  *    once, when it generated the traces).  A cache file's identity
@@ -191,12 +183,6 @@ class TraceRepository
          * outlive the repository.
          */
         std::function<const TraceSet&()> registry;
-
-        /** Generate unknown names via workloads::makeWorkload(). */
-        bool generateUnknownNames = false;
-
-        /** Allow Kind::Path refs (off in the service). */
-        bool allowPaths = true;
 
         /** Replay-cache directory; empty disables mapped resolution. */
         std::string cacheDir;

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "util/logging.hh"
@@ -102,15 +101,6 @@ namespace detail
 {
 
 std::atomic<bool> armed{false};
-
-bool
-armedSlow()
-{
-    const char* env = std::getenv("JCACHE_TELEMETRY");
-    if (env && *env && std::string(env) != "0")
-        armed.store(true, std::memory_order_relaxed);
-    return true;
-}
 
 } // namespace detail
 

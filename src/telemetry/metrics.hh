@@ -54,23 +54,17 @@ namespace detail
 {
 /** True once telemetry is armed.  Read through armed() only. */
 extern std::atomic<bool> armed;
-
-/** Slow path of armed(): one-time JCACHE_TELEMETRY env check. */
-bool armedSlow();
 } // namespace detail
 
 /**
  * True when telemetry collection is armed (an exporter is attached or
- * a test asked for it).  The first call (per process) consults the
- * JCACHE_TELEMETRY environment variable; after that it is one relaxed
- * atomic load.  Instrumentation sites use this as their guard, so a
- * disarmed process pays a single predictable branch per site.
+ * a test asked for it): one relaxed atomic load.  Instrumentation
+ * sites use this as their guard, so a disarmed process pays a single
+ * predictable branch per site.
  */
 inline bool
 armed()
 {
-    static const bool env_checked = detail::armedSlow();
-    (void)env_checked;
     return detail::armed.load(std::memory_order_relaxed);
 }
 

@@ -119,18 +119,19 @@ encodeReplayCache(const Trace& trace, const std::string& digest,
     return out;
 }
 
+/** `<dir>/lock` — the writers' lock of a replay-cache directory. */
+std::string
+replayCacheLockPath(const std::string& dir)
+{
+    return dir + "/lock";
+}
+
 } // namespace
 
 std::string
 replayCachePath(const std::string& dir, const std::string& digestHex)
 {
     return dir + "/" + digestHex + ".jcrc";
-}
-
-std::string
-replayCacheLockPath(const std::string& dir)
-{
-    return dir + "/lock";
 }
 
 void

@@ -81,13 +81,10 @@ class ReplayCacheError : public CorruptTraceError
 std::string replayCachePath(const std::string& dir,
                             const std::string& digestHex);
 
-/** `<dir>/lock` — the writers' lock of a replay-cache directory. */
-std::string replayCacheLockPath(const std::string& dir);
-
 /**
  * Remove the `*.tmp` files in the replay-cache directory `dir`,
- * holding its lock.  A missing `dir` has nothing to sweep and is not
- * created.
+ * holding its lock, `<dir>/lock`.  A missing `dir` has nothing to
+ * sweep and is not created.
  */
 void sweepReplayCacheDir(const std::string& dir);
 

@@ -7,10 +7,11 @@
 #      so every rate below scales with the hardware
 #   2. moderate (C/2): everything is served and the health class p99
 #      stays under 250ms
-#   3. overload (2C, with a 1s request deadline): the daemon stays
-#      alive and responsive (health p99 under 250ms on its own
-#      connections), sheds with typed busy/deadline errors instead of
-#      queue-collapsing, and keeps goodput above a floor
+#   3. overload (2C, with a 1s request deadline): the generator keeps
+#      its schedule (at most 10% of requests dispatched late), and the
+#      daemon stays alive and responsive (health p99 under 250ms on
+#      its own connections), sheds with typed busy/deadline errors
+#      instead of queue-collapsing, and keeps goodput above a floor
 #   4. recovery: once the overload stops, goodput returns to within
 #      10% of the moderate baseline
 #
@@ -103,6 +104,13 @@ BASELINE=$(goodput "$WORKDIR/moderate.txt")
     --json "$WORKDIR/loadgen_overload.json" \
     > "$WORKDIR/overload.txt" || fail "overload phase SLO"
 cat "$WORKDIR/overload.txt"
+# A generator that fell behind its schedule offered less than 2x, so
+# the phase would prove nothing about overload.
+OFFERED=$(awk '/^loadgen: offered /{print $3}' "$WORKDIR/overload.txt")
+LATE=$(awk '/^loadgen: sheds /{print $5}' "$WORKDIR/overload.txt")
+awk -v o="$OFFERED" -v l="$LATE" \
+    'BEGIN{exit !(o > 0 && l != "" && l <= 0.1 * o)}' \
+    || fail "overload dispatched ${LATE} of ${OFFERED} requests late"
 kill -0 "$DAEMON_PID" 2>/dev/null || fail "daemon died under overload"
 "$CLIENT" --port "$PORT" --retry --deadline 10000 ping > /dev/null \
     || fail "daemon unresponsive after overload"

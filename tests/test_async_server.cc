@@ -5,14 +5,12 @@
  * frames, oversized prefixes, malformed JSON and mid-response
  * disconnects — a misbehaving client costs its own connection, never
  * the daemon — plus pipelined requests answered in order on one
- * connection, connection metrics in the stats node block, and
- * identical behaviour under the poll fallback backend.
+ * connection, and connection metrics in the stats node block.
  */
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,15 +31,11 @@ using service::JsonValue;
 namespace
 {
 
-class AsyncServerTest : public ::testing::TestWithParam<const char*>
+class AsyncServerTest : public ::testing::Test
 {
   protected:
     void SetUp() override
     {
-        if (std::string(GetParam()) == "poll")
-            ::setenv("JCACHE_NET_POLL", "1", 1);
-        else
-            ::unsetenv("JCACHE_NET_POLL");
         AsyncServerConfig config;
         config.port = 0;  // ephemeral
         config.connectionTimeoutMillis = 2000;
@@ -49,7 +43,6 @@ class AsyncServerTest : public ::testing::TestWithParam<const char*>
         server_ = std::make_unique<AsyncServer>(config);
         std::string error;
         ASSERT_TRUE(server_->start(&error)) << error;
-        ASSERT_EQ(std::string(server_->backend()), GetParam());
         serve_thread_ = std::thread([this] { server_->serve(); });
     }
 
@@ -59,7 +52,6 @@ class AsyncServerTest : public ::testing::TestWithParam<const char*>
         if (serve_thread_.joinable())
             serve_thread_.join();
         fault::reset();
-        ::unsetenv("JCACHE_NET_POLL");
     }
 
     net::Socket connect()
@@ -109,7 +101,7 @@ framePrefix(std::uint32_t len)
 
 } // namespace
 
-TEST_P(AsyncServerTest, AnswersPingAndRun)
+TEST_F(AsyncServerTest, AnswersPingAndRun)
 {
     JsonValue ping = exchange("{\"type\": \"ping\"}");
     EXPECT_TRUE(ping.getBool("ok", false));
@@ -124,7 +116,7 @@ TEST_P(AsyncServerTest, AnswersPingAndRun)
               0.0);
 }
 
-TEST_P(AsyncServerTest, PipelinedRequestsAnswerInOrder)
+TEST_F(AsyncServerTest, PipelinedRequestsAnswerInOrder)
 {
     // Write every frame before reading any response.  A slow
     // simulation is queued first so later cheap pings would overtake
@@ -159,7 +151,7 @@ TEST_P(AsyncServerTest, PipelinedRequestsAnswerInOrder)
         EXPECT_EQ(ids[i + 1], "p" + std::to_string(i));
 }
 
-TEST_P(AsyncServerTest, OverlappingJobsStillAnswerInRequestOrder)
+TEST_F(AsyncServerTest, OverlappingJobsStillAnswerInRequestOrder)
 {
     // A sweep whose job sleeps 300ms (service.delay=n1 fires on the
     // first dequeue), then a cheap run pipelined behind it on the
@@ -209,7 +201,7 @@ TEST_P(AsyncServerTest, OverlappingJobsStillAnswerInRequestOrder)
     EXPECT_EQ(ids, (std::vector<std::string>{"sweep", "run"}));
 }
 
-TEST_P(AsyncServerTest, ManyPipelinedPingsOnOneConnection)
+TEST_F(AsyncServerTest, ManyPipelinedPingsOnOneConnection)
 {
     constexpr int kCount = 64;
     net::Socket socket = connect();
@@ -229,7 +221,7 @@ TEST_P(AsyncServerTest, ManyPipelinedPingsOnOneConnection)
     }
 }
 
-TEST_P(AsyncServerTest, TruncatedFrameClosesOnlyThatConnection)
+TEST_F(AsyncServerTest, TruncatedFrameClosesOnlyThatConnection)
 {
     {
         net::Socket socket = connect();
@@ -248,7 +240,7 @@ TEST_P(AsyncServerTest, TruncatedFrameClosesOnlyThatConnection)
     expectStillServing();
 }
 
-TEST_P(AsyncServerTest, TruncatedPrefixClosesOnlyThatConnection)
+TEST_F(AsyncServerTest, TruncatedPrefixClosesOnlyThatConnection)
 {
     {
         net::Socket socket = connect();
@@ -262,7 +254,7 @@ TEST_P(AsyncServerTest, TruncatedPrefixClosesOnlyThatConnection)
     expectStillServing();
 }
 
-TEST_P(AsyncServerTest, OversizedPrefixIsRejected)
+TEST_F(AsyncServerTest, OversizedPrefixIsRejected)
 {
     {
         net::Socket socket = connect();
@@ -279,7 +271,7 @@ TEST_P(AsyncServerTest, OversizedPrefixIsRejected)
     expectStillServing();
 }
 
-TEST_P(AsyncServerTest, ProtocolErrorsShowInStats)
+TEST_F(AsyncServerTest, ProtocolErrorsShowInStats)
 {
     {
         net::Socket socket = connect();
@@ -295,7 +287,7 @@ TEST_P(AsyncServerTest, ProtocolErrorsShowInStats)
               1.0);
 }
 
-TEST_P(AsyncServerTest, ViolationAfterPipelinedFramesAnswersThemFirst)
+TEST_F(AsyncServerTest, ViolationAfterPipelinedFramesAnswersThemFirst)
 {
     // Two good pings followed by an oversized prefix in one burst:
     // the good requests are answered in order, then the frame error
@@ -327,7 +319,7 @@ TEST_P(AsyncServerTest, ViolationAfterPipelinedFramesAnswersThemFirst)
     expectStillServing();
 }
 
-TEST_P(AsyncServerTest, MalformedJsonGetsErrorAndConnectionLives)
+TEST_F(AsyncServerTest, MalformedJsonGetsErrorAndConnectionLives)
 {
     net::Socket socket = connect();
     ASSERT_EQ(net::writeFrame(socket, "this is not json"),
@@ -344,7 +336,7 @@ TEST_P(AsyncServerTest, MalformedJsonGetsErrorAndConnectionLives)
     EXPECT_TRUE(JsonValue::parse(response).getBool("ok", false));
 }
 
-TEST_P(AsyncServerTest, DisconnectMidResponseLeavesDaemonServing)
+TEST_F(AsyncServerTest, DisconnectMidResponseLeavesDaemonServing)
 {
     for (int i = 0; i < 3; ++i) {
         net::Socket socket = connect();
@@ -358,7 +350,7 @@ TEST_P(AsyncServerTest, DisconnectMidResponseLeavesDaemonServing)
     expectStillServing();
 }
 
-TEST_P(AsyncServerTest, ConnectionMetricsInNodeBlock)
+TEST_F(AsyncServerTest, ConnectionMetricsInNodeBlock)
 {
     // A handful of extra connections, then ask for stats while one
     // of them is still open.
@@ -384,7 +376,7 @@ TEST_P(AsyncServerTest, ConnectionMetricsInNodeBlock)
         "single");
 }
 
-TEST_P(AsyncServerTest, StopMidJobStillFlushesBufferedRequests)
+TEST_F(AsyncServerTest, StopMidJobStillFlushesBufferedRequests)
 {
     fault::configure("service.delay=always");
     net::Socket socket = connect();
@@ -413,7 +405,7 @@ TEST_P(AsyncServerTest, StopMidJobStillFlushesBufferedRequests)
     serve_thread_.join();
 }
 
-TEST_P(AsyncServerTest, InBandShutdownDrainsTheServer)
+TEST_F(AsyncServerTest, InBandShutdownDrainsTheServer)
 {
     JsonValue v = exchange("{\"type\": \"shutdown\"}");
     EXPECT_TRUE(v.getBool("ok", false));
@@ -433,7 +425,7 @@ TEST_P(AsyncServerTest, InBandShutdownDrainsTheServer)
     }
 }
 
-TEST_P(AsyncServerTest, ConcurrentConnectionsAllServed)
+TEST_F(AsyncServerTest, ConcurrentConnectionsAllServed)
 {
     constexpr int kThreads = 8;
     std::vector<std::thread> threads;
@@ -465,9 +457,3 @@ TEST_P(AsyncServerTest, ConcurrentConnectionsAllServed)
         t.join();
     EXPECT_EQ(ok.load(), kThreads);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, AsyncServerTest,
-                         ::testing::Values("epoll", "poll"),
-                         [](const auto& info) {
-                             return std::string(info.param);
-                         });

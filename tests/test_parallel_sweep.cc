@@ -2,7 +2,7 @@
  * @file
  * Tests for the parallel sweep executor and the batch fan-out built on
  * it: determinism across thread counts, oversubscription, report
- * accounting, CSV/JSON export, and the per-request completion
+ * accounting, JSON export, and the per-request completion
  * callback under both engines.
  */
 
@@ -705,24 +705,6 @@ TEST(OnePassPlan, TwoTracesShareTheWorkers)
         SCOPED_TRACE("jobs 1");
         expectOnePassMatchesPerCell(grid, 1, w + m);
     }
-}
-
-TEST(SweepReport, CsvHasHeaderAndOneRowPerJob)
-{
-    SweepReport report;
-    report.threads = 2;
-    report.wallSeconds = 0.5;
-    report.timings = {{0.25, 1000}, {0.25, 3000}};
-
-    std::ostringstream oss;
-    report.writeCsv(oss);
-    std::string out = oss.str();
-    EXPECT_NE(out.find("job,wall_seconds,instructions,m_ins_per_sec"),
-              std::string::npos);
-    std::size_t rows = 0;
-    for (char ch : out)
-        rows += ch == '\n';
-    EXPECT_EQ(rows, 3u);  // header + 2 jobs
 }
 
 TEST(SweepReport, JsonIsBalancedAndCarriesTotals)

@@ -2,15 +2,13 @@
  * @file
  * Tests for the readiness event loop (net/reactor.hh): fd
  * registration and dispatch, interest changes, cross-thread post()
- * wakeup, and the poll fallback backend selected by JCACHE_NET_POLL.
+ * wakeup, hangups, and removal from inside a callback.
  */
 
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdlib>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -34,35 +32,9 @@ makePair()
     return {Socket(fds[0]), Socket(fds[1])};
 }
 
-/**
- * Run the decorated body under both backends.  The poll fallback is
- * selected per-Reactor at construction via the environment, so each
- * iteration builds its reactors after flipping the variable.
- */
-class ReactorBackends : public ::testing::TestWithParam<const char*>
-{
-  protected:
-    void SetUp() override
-    {
-        if (std::string(GetParam()) == "poll")
-            ::setenv("JCACHE_NET_POLL", "1", 1);
-        else
-            ::unsetenv("JCACHE_NET_POLL");
-    }
-
-    void TearDown() override { ::unsetenv("JCACHE_NET_POLL"); }
-};
-
 } // namespace
 
-TEST_P(ReactorBackends, ReportsSelectedBackend)
-{
-    Reactor reactor;
-    ASSERT_TRUE(reactor.valid());
-    EXPECT_EQ(std::string(reactor.backend()), GetParam());
-}
-
-TEST_P(ReactorBackends, DispatchesReadableFd)
+TEST(Reactor, DispatchesReadableFd)
 {
     Reactor reactor;
     ASSERT_TRUE(reactor.valid());
@@ -85,7 +57,7 @@ TEST_P(ReactorBackends, DispatchesReadableFd)
     EXPECT_TRUE(seen & kReadable);
 }
 
-TEST_P(ReactorBackends, SetInterestMasksReadiness)
+TEST(Reactor, SetInterestMasksReadiness)
 {
     Reactor reactor;
     ASSERT_TRUE(reactor.valid());
@@ -107,7 +79,7 @@ TEST_P(ReactorBackends, SetInterestMasksReadiness)
     EXPECT_EQ(dispatches, 1);
 }
 
-TEST_P(ReactorBackends, WritableInterestFiresImmediately)
+TEST(Reactor, WritableInterestFiresImmediately)
 {
     Reactor reactor;
     ASSERT_TRUE(reactor.valid());
@@ -123,7 +95,7 @@ TEST_P(ReactorBackends, WritableInterestFiresImmediately)
     EXPECT_TRUE(seen & kWritable);
 }
 
-TEST_P(ReactorBackends, RemoveStopsDispatch)
+TEST(Reactor, RemoveStopsDispatch)
 {
     Reactor reactor;
     ASSERT_TRUE(reactor.valid());
@@ -138,7 +110,7 @@ TEST_P(ReactorBackends, RemoveStopsDispatch)
     EXPECT_EQ(dispatches, 0);
 }
 
-TEST_P(ReactorBackends, RemoveInsideOwnCallbackIsSafe)
+TEST(Reactor, RemoveInsideOwnCallbackIsSafe)
 {
     Reactor reactor;
     ASSERT_TRUE(reactor.valid());
@@ -156,7 +128,7 @@ TEST_P(ReactorBackends, RemoveInsideOwnCallbackIsSafe)
     EXPECT_EQ(dispatches, 1);
 }
 
-TEST_P(ReactorBackends, PostRunsOnLoopIteration)
+TEST(Reactor, PostRunsOnLoopIteration)
 {
     Reactor reactor;
     ASSERT_TRUE(reactor.valid());
@@ -167,7 +139,7 @@ TEST_P(ReactorBackends, PostRunsOnLoopIteration)
     EXPECT_EQ(ran, 2);
 }
 
-TEST_P(ReactorBackends, PostFromAnotherThreadWakesWait)
+TEST(Reactor, PostFromAnotherThreadWakesWait)
 {
     Reactor reactor;
     ASSERT_TRUE(reactor.valid());
@@ -189,7 +161,7 @@ TEST_P(ReactorBackends, PostFromAnotherThreadWakesWait)
               std::chrono::seconds(5));
 }
 
-TEST_P(ReactorBackends, HangupReported)
+TEST(Reactor, HangupReported)
 {
     Reactor reactor;
     ASSERT_TRUE(reactor.valid());
@@ -201,11 +173,11 @@ TEST_P(ReactorBackends, HangupReported)
     a.close();
     reactor.runOnce(1000);
     // Peer closure surfaces as readable EOF and/or an explicit
-    // hangup bit depending on backend; either is actionable.
+    // hangup bit; either is actionable.
     EXPECT_TRUE(seen & (kReadable | kHangup));
 }
 
-TEST_P(ReactorBackends, ManyFdsDispatchIndependently)
+TEST(Reactor, ManyFdsDispatchIndependently)
 {
     Reactor reactor;
     ASSERT_TRUE(reactor.valid());
@@ -231,9 +203,3 @@ TEST_P(ReactorBackends, ManyFdsDispatchIndependently)
     for (int i = 0; i < kPairs; ++i)
         EXPECT_EQ(hits[i], i % 2 == 0 ? 1 : 0) << "pair " << i;
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, ReactorBackends,
-                         ::testing::Values("epoll", "poll"),
-                         [](const auto& info) {
-                             return std::string(info.param);
-                         });

@@ -2,9 +2,9 @@
  * @file
  * Tests for the unified trace-addressing API (sim/trace_ref.hh):
  * TraceRef parsing and canonical specs, and TraceRepository
- * resolution across the registry, uploaded traces, replay-cache
- * directories, and the workload generator; the registry is reached
- * only when a ref needs it, and opening a cache directory sweeps the
+ * resolution across the registry, uploaded traces and replay-cache
+ * directories; the registry is reached only when a ref needs it, a
+ * path ref never resolves, and opening a cache directory sweeps the
  * temporaries of dead writers only.
  */
 
@@ -21,10 +21,8 @@
 
 #include "sim/sweeps.hh"
 #include "sim/trace_ref.hh"
-#include "trace/file_io.hh"
 #include "trace/replay_cache.hh"
 #include "trace/trace.hh"
-#include "workloads/workload.hh"
 
 namespace jcache::sim
 {
@@ -144,41 +142,12 @@ TEST(TraceRepository, ResolvesRegistryNamesAndDigests)
     EXPECT_THROW(
         repo.resolve(TraceRef::byDigest("ffffffffffffffff")),
         UnknownTraceError);
-}
-
-TEST(TraceRepository, GeneratesUnknownNamesWhenAllowed)
-{
-    TraceRepository strict;
-    EXPECT_THROW(strict.resolve(TraceRef::byName("ccom")),
+    // The repository never opens a file a ref names, and without a
+    // registry it resolves no name at all.
+    EXPECT_THROW(repo.resolve(*TraceRef::parse("path:/tmp/trace.jct")),
                  UnknownTraceError);
-
-    TraceRepository::Config config;
-    config.generateUnknownNames = true;
-    TraceRepository repo(config);
-    ResolvedTrace generated = repo.resolve(TraceRef::byName("ccom"));
-    ASSERT_NE(generated.trace, nullptr);
-    EXPECT_EQ(generated.name, "ccom");
-    EXPECT_THROW(repo.resolve(TraceRef::byName("nonesuch")),
+    EXPECT_THROW(TraceRepository().resolve(TraceRef::byName("ccom")),
                  UnknownTraceError);
-}
-
-TEST(TraceRepository, PathRefsHonorAllowPaths)
-{
-    TempDir dir("jcache_ref_path");
-    fs::create_directories(dir.path);
-    trace::Trace t = miniTrace("filed", 16);
-    std::string file = dir.path + "/filed.jct";
-    trace::saveTrace(t, file);
-
-    TraceRepository open;
-    ResolvedTrace resolved = open.resolve(TraceRef::byPath(file));
-    ASSERT_NE(resolved.trace, nullptr);
-    EXPECT_EQ(resolved.digest, trace::contentDigest(t));
-
-    TraceRepository::Config closed_config;
-    closed_config.allowPaths = false;
-    TraceRepository closed(closed_config);
-    EXPECT_THROW(closed.resolve(TraceRef::byPath(file)), FatalError);
 }
 
 TEST(TraceRepository, UploadsResolveByDigestAndEvictFifo)
@@ -208,7 +177,7 @@ TEST(TraceRepository, UploadsResolveByDigestAndEvictFifo)
                  UnknownTraceError);
 }
 
-TEST(TraceRepository, CacheDirMapsDigestsAndReusesNames)
+TEST(TraceRepository, CacheDirMapsDigests)
 {
     TempDir dir("jcache_ref_cachedir");
     trace::Trace t = miniTrace("cached", 32);
@@ -234,23 +203,6 @@ TEST(TraceRepository, CacheDirMapsDigestsAndReusesNames)
     EXPECT_EQ(materialized.trace->records(), t.records());
     EXPECT_EQ(materialized.digest, mapped.digest);
     EXPECT_EQ(materialized.identity, mapped.identity);
-
-    // A generating repository writes the cache files once; a second
-    // repository then serves the name from the cache directory via
-    // the name-ref file instead of regenerating.
-    TraceRepository::Config gen_config;
-    gen_config.generateUnknownNames = true;
-    gen_config.cacheDir = dir.path;
-    TraceRepository generator(gen_config);
-    ResolvedTrace generated =
-        generator.resolve(TraceRef::byName("ccom"));
-
-    TraceRepository reader(gen_config);
-    ResolvedTrace reread = reader.resolve(TraceRef::byName("ccom"));
-    EXPECT_EQ(reread.identity, generated.identity);
-    EXPECT_TRUE(
-        fs::exists(trace::replayCachePath(dir.path,
-                                          generated.digest)));
 }
 
 TEST(TraceRepository, UploadAndCacheFileDigestsNeverCallTheRegistry)
@@ -353,8 +305,8 @@ TEST(TraceRepository, OpeningACacheDirSweepsStaleTemporaries)
     TempDir dir("jcache_ref_sweep");
     trace::Trace t = miniTrace("kept", 32);
     const std::string kept = trace::ensureReplayCache(t, dir.path);
-    // What a JCRC writer and a name-ref writer killed before their
-    // renames leave behind.
+    // What a JCRC writer killed before its rename leaves behind, and
+    // a name-ref temporary an older build's writer could have left.
     const std::string stale_cache = kept + ".a1B2c3.tmp";
     const std::string stale_ref =
         dir.path + "/n0123456789abcdef.ref.d4E5f6.tmp";

@@ -5,7 +5,7 @@
 
 #include "cli_common.hh"
 
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
 #include <iostream>
 
@@ -17,12 +17,15 @@ namespace jcache::tools
 unsigned
 parseUnsigned(const std::string& value, const std::string& flag)
 {
-    char* end = nullptr;
-    unsigned long parsed = std::strtoul(value.c_str(), &end, 10);
-    fatalIf(value.empty() || end == nullptr || *end != '\0',
+    // from_chars refuses an empty value, a sign and whitespace, and
+    // reports a value past unsigned's range instead of wrapping it.
+    unsigned parsed = 0;
+    const char* end = value.data() + value.size();
+    auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+    fatalIf(ec != std::errc() || ptr != end,
             flag + " expects a non-negative integer, got '" + value +
                 "'");
-    return static_cast<unsigned>(parsed);
+    return parsed;
 }
 
 bool

@@ -94,7 +94,8 @@ void writeJsonSink(const CommonFlags& flags,
 /**
  * Parse a non-negative decimal integer CLI value.
  *
- * @throws FatalError naming `flag` when `value` is not a number.
+ * @throws FatalError naming `flag` unless `value` is all decimal
+ *         digits (no sign, no whitespace) and fits in `unsigned`.
  */
 unsigned parseUnsigned(const std::string& value,
                        const std::string& flag);

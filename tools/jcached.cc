@@ -25,10 +25,12 @@
  * event loop keeps serving meanwhile, and --jobs decides whether each
  * digest runs beside the next generation.  Protocol: docs/SERVICE.md.
  *
- * The front end multiplexes every connection onto one epoll/poll
- * event loop and answers pipelined requests per connection in order;
+ * The front end multiplexes every connection onto one epoll event
+ * loop and answers pipelined requests per connection in order;
  * --timeout is its connection idle timeout.  `--server reactor` names
  * that front end explicitly and is the only value --server accepts.
+ * A malformed number, or a port above 65535, is a usage error (exit
+ * 2).
  *
  * --coordinator with --workers turns the daemon into a shard
  * coordinator (docs/SHARDING.md): sweep and batch grids scatter over
@@ -179,6 +181,16 @@ refreshServiceGauges(service::Service& svc)
     }
 }
 
+/** A --port or --metrics-port value: parseUnsigned(), at most 65535. */
+std::uint16_t
+parsePort(const std::string& value, const std::string& flag)
+{
+    unsigned port = tools::parseUnsigned(value, flag);
+    fatalIf(port > 65535,
+            flag + " expects a port up to 65535, got '" + value + "'");
+    return static_cast<std::uint16_t>(port);
+}
+
 /** Everything serveDaemon needs besides the server itself. */
 struct DaemonOptions
 {
@@ -266,85 +278,83 @@ main(int argc, char** argv)
     tools::CommonFlags common;
     constexpr unsigned kCommonFlags =
         tools::kFlagJobs | tools::kFlagEngine;
-    for (int i = 1; i < argc; ++i) {
-        std::string flag = argv[i];
-        if (flag == "--version") {
-            std::cout << versionLine("jcached") << "\n";
-            return 0;
-        }
-        if (flag == "--coordinator") {
-            coordinator = true;
-            continue;
-        }
-        try {
+    try {
+        for (int i = 1; i < argc; ++i) {
+            std::string flag = argv[i];
+            if (flag == "--version") {
+                std::cout << versionLine("jcached") << "\n";
+                return 0;
+            }
+            if (flag == "--coordinator") {
+                coordinator = true;
+                continue;
+            }
             if (tools::parseCommonFlag(argc, argv, i, kCommonFlags,
                                        common))
                 continue;
-        } catch (const FatalError& e) {
-            std::cerr << "error: " << e.what() << "\n";
-            return usage();
-        }
-        if (i + 1 >= argc)
-            return usage();
-        std::string value = argv[++i];
-        if (flag == "--port") {
-            config.port = static_cast<std::uint16_t>(
-                std::strtoul(value.c_str(), nullptr, 10));
-        } else if (flag == "--port-file") {
-            opt.portFile = value;
-        } else if (flag == "--server") {
-            if (value != "reactor") {
-                std::cerr << "error: --server must be reactor\n";
+            if (i + 1 >= argc)
+                return usage();
+            std::string value = argv[++i];
+            if (flag == "--port") {
+                config.port = parsePort(value, flag);
+            } else if (flag == "--port-file") {
+                opt.portFile = value;
+            } else if (flag == "--server") {
+                if (value != "reactor") {
+                    std::cerr << "error: --server must be reactor\n";
+                    return usage();
+                }
+            } else if (flag == "--workers") {
+                workers = value;
+            } else if (flag == "--queue") {
+                config.service.queueCapacity =
+                    tools::parseUnsigned(value, flag);
+            } else if (flag == "--cache") {
+                config.service.cacheCapacity =
+                    tools::parseUnsigned(value, flag);
+            } else if (flag == "--timeout") {
+                config.connectionTimeoutMillis =
+                    tools::parseUnsigned(value, flag);
+            } else if (flag == "--pipeline-cap") {
+                config.maxPipelinedRequests =
+                    tools::parseUnsigned(value, flag);
+                if (config.maxPipelinedRequests == 0)
+                    config.maxPipelinedRequests = 1;
+            } else if (flag == "--admission") {
+                auto mode = service::parseAdmissionMode(value);
+                if (!mode) {
+                    std::cerr << "error: --admission must be codel or "
+                                 "queue-cap\n";
+                    return usage();
+                }
+                config.service.admission.mode = *mode;
+            } else if (flag == "--admission-target-ms") {
+                config.service.admission.targetMillis =
+                    std::strtod(value.c_str(), nullptr);
+            } else if (flag == "--admission-interval-ms") {
+                config.service.admission.intervalMillis =
+                    std::strtod(value.c_str(), nullptr);
+            } else if (flag == "--store-dir") {
+                config.service.storeDir = value;
+            } else if (flag == "--trace-cache-dir") {
+                config.service.traceCacheDir = value;
+            } else if (flag == "--store-cap-bytes") {
+                config.service.storeCapBytes =
+                    std::strtoull(value.c_str(), nullptr, 10);
+            } else if (flag == "--metrics-port") {
+                opt.metrics = true;
+                opt.metricsPort = parsePort(value, flag);
+            } else if (flag == "--metrics-port-file") {
+                opt.metricsPortFile = value;
+            } else if (flag == "--trace-out") {
+                opt.traceOut = value;
+            } else {
                 return usage();
             }
-        } else if (flag == "--workers" || flag == "--worker") {
-            workers = value;
-        } else if (flag == "--queue") {
-            config.service.queueCapacity =
-                std::strtoull(value.c_str(), nullptr, 10);
-        } else if (flag == "--cache") {
-            config.service.cacheCapacity =
-                std::strtoull(value.c_str(), nullptr, 10);
-        } else if (flag == "--timeout") {
-            config.connectionTimeoutMillis = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 10));
-        } else if (flag == "--pipeline-cap") {
-            config.maxPipelinedRequests = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 10));
-            if (config.maxPipelinedRequests == 0)
-                config.maxPipelinedRequests = 1;
-        } else if (flag == "--admission") {
-            auto mode = service::parseAdmissionMode(value);
-            if (!mode) {
-                std::cerr << "error: --admission must be codel or "
-                             "queue-cap\n";
-                return usage();
-            }
-            config.service.admission.mode = *mode;
-        } else if (flag == "--admission-target-ms") {
-            config.service.admission.targetMillis =
-                std::strtod(value.c_str(), nullptr);
-        } else if (flag == "--admission-interval-ms") {
-            config.service.admission.intervalMillis =
-                std::strtod(value.c_str(), nullptr);
-        } else if (flag == "--store-dir") {
-            config.service.storeDir = value;
-        } else if (flag == "--trace-cache-dir") {
-            config.service.traceCacheDir = value;
-        } else if (flag == "--store-cap-bytes") {
-            config.service.storeCapBytes =
-                std::strtoull(value.c_str(), nullptr, 10);
-        } else if (flag == "--metrics-port") {
-            opt.metrics = true;
-            opt.metricsPort = static_cast<std::uint16_t>(
-                std::strtoul(value.c_str(), nullptr, 10));
-        } else if (flag == "--metrics-port-file") {
-            opt.metricsPortFile = value;
-        } else if (flag == "--trace-out") {
-            opt.traceOut = value;
-        } else {
-            return usage();
         }
+    } catch (const FatalError& e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return usage();
     }
     config.service.executorThreads = common.jobs;
     config.service.engine = common.engine;
@@ -379,8 +389,7 @@ main(int argc, char** argv)
                       << " worker(s)\n";
 
         service::AsyncServer server(config);
-        std::cerr << "jcached: reactor front end ("
-                  << server.backend() << ")\n";
+        std::cerr << "jcached: reactor front end (epoll)\n";
         return serveDaemon(server, opt);
     } catch (const FatalError& e) {
         std::cerr << "error: " << e.what() << "\n";
