@@ -402,6 +402,45 @@ BM_OnePassSweepMapped(benchmark::State& state)
                 percell_seconds[state.range(0)][jobs - 1]);
 }
 
+/**
+ * trace::contentDigest() on grr: the serial FNV-1a chain that names
+ * replay-cache files and store keys.
+ */
+void
+BM_ContentDigest(benchmark::State& state)
+{
+    const trace::Trace& trace = sim::TraceSet::standard().get("grr");
+    for (auto _ : state)
+        benchmark::DoNotOptimize(trace::contentDigest(trace));
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(trace.size()));
+}
+
+/**
+ * trace::ensureReplayCache() into an empty directory, as a cold
+ * `jcache-sweep --trace-cache-dir` or a perfbench set-up runs it: one
+ * walk that encodes and digests the records, then the atomic write
+ * and its fsyncs.  Each iteration starts from a fresh directory.
+ */
+void
+BM_EnsureReplayCacheCold(benchmark::State& state)
+{
+    const trace::Trace& trace = sim::TraceSet::standard().get("grr");
+    const std::string dir =
+        (std::filesystem::temp_directory_path() /
+         ("jcache_bench_cold_" + std::to_string(::getpid())))
+            .string();
+    for (auto _ : state) {
+        state.PauseTiming();
+        std::filesystem::remove_all(dir);
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(trace::ensureReplayCache(trace, dir));
+    }
+    std::filesystem::remove_all(dir);
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(trace.size()));
+}
+
 BENCHMARK(BM_WriteBackFetchOnWrite);
 BENCHMARK(BM_WriteThroughWriteValidate);
 BENCHMARK(BM_WriteThroughWriteAround);
@@ -423,6 +462,10 @@ BENCHMARK(BM_OnePassSweep)
 BENCHMARK(BM_OnePassSweepMapped)
     ->ArgNames({"grid", "jobs"})
     ->ArgsProduct({{0, 1, 2}, {1, 2}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ContentDigest)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EnsureReplayCacheCold)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

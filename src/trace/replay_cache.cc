@@ -11,8 +11,10 @@
 #include <filesystem>
 #include <optional>
 
+#include "trace/record_digest.hh"
 #include "trace/varint.hh"
 #include "util/bitops.hh"
+#include "util/digest.hh"
 #include "util/fs.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -34,6 +36,8 @@ namespace
 /** Fixed header bytes before the trace name. */
 constexpr std::size_t kHeaderBytes = 4 + 2 + 2 + 8 + 8 + 8 + 16 + 4;
 
+/** Where the content digest sits in the header, and its length. */
+constexpr std::size_t kDigestOffset = 4 + 2 + 2 + 8 + 8 + 8;
 constexpr std::size_t kDigestBytes = 16;
 
 /** Fewest payload bytes a record can take: meta + two 1-byte varints. */
@@ -58,15 +62,16 @@ isHexDigest(const std::string& digest)
  */
 constexpr std::size_t kMaxRecordBytes = 1 + 10 + 5;
 
-/** The JCRC file of `trace`, whose contentDigest() is `digest`. */
+/**
+ * The JCRC file of `trace`.  Its records are digested in the walk
+ * that encodes them, and the digest fills the header at
+ * kDigestOffset once the walk ends.
+ */
 std::string
-encodeReplayCache(const Trace& trace, const std::string& digest,
-                  std::size_t blockRecords)
+encodeReplayCache(const Trace& trace, std::size_t blockRecords)
 {
     if (blockRecords == 0)
         blockRecords = 1;
-    if (!isHexDigest(digest))
-        fatal("unexpected trace digest format: " + digest);
 
     const std::string& name = trace.name();
     const std::size_t count = trace.size();
@@ -87,11 +92,12 @@ encodeReplayCache(const Trace& trace, const std::string& digest,
     appendLe<std::uint64_t>(out, count);
     appendLe<std::uint64_t>(out, blockRecords);
     appendLe<std::uint64_t>(out, block_count);
-    out.append(digest);
+    out.append(kDigestBytes, '0'); // filled in after the walk
     appendLe<std::uint32_t>(out, static_cast<std::uint32_t>(name.size()));
     out.append(name);
     out.resize(table_base + 8 * block_count); // the offset table
 
+    std::uint64_t digest = util::kFnvOffset;
     for (std::size_t b = 0; b < block_count; ++b) {
         const std::size_t first = b * blockRecords;
         const std::size_t n = std::min(blockRecords, count - first);
@@ -113,9 +119,11 @@ encodeReplayCache(const Trace& trace, const std::string& digest,
                                  r.addr - prev_addr)));
             p = putVarint(p, r.instrDelta);
             prev_addr = r.addr;
+            digest = digestRecord(digest, r);
         }
         out.resize(static_cast<std::size_t>(p - base));
     }
+    out.replace(kDigestOffset, kDigestBytes, util::hexDigest(digest));
     return out;
 }
 
@@ -153,27 +161,22 @@ void
 writeReplayCache(const Trace& trace, const std::string& path,
                  std::size_t blockRecords)
 {
-    util::atomicWriteFile(
-        path, encodeReplayCache(trace, contentDigest(trace), blockRecords));
+    util::atomicWriteFile(path, encodeReplayCache(trace, blockRecords));
 }
 
 std::string
 ensureReplayCache(const Trace& trace, const std::string& dir,
                   std::size_t blockRecords)
 {
-    return ensureReplayCache(trace, contentDigest(trace), dir,
-                             blockRecords);
-}
-
-std::string
-ensureReplayCache(const Trace& trace, const std::string& digest,
-                  const std::string& dir, std::size_t blockRecords)
-{
+    // The file is named by the digest, which is known only once the
+    // records are encoded; the bytes of a file that exists already
+    // are then dropped.
+    const std::string bytes = encodeReplayCache(trace, blockRecords);
     util::ensureDirectory(dir);
-    const std::string path = replayCachePath(dir, digest);
+    const std::string path =
+        replayCachePath(dir, bytes.substr(kDigestOffset, kDigestBytes));
     if (std::filesystem::exists(path))
         return path;
-    std::string bytes = encodeReplayCache(trace, digest, blockRecords);
     util::FileLock lock(replayCacheLockPath(dir));
     util::atomicWriteFile(path, bytes);
     return path;

@@ -34,8 +34,8 @@
  *
  * ## The directory lock
  *
- * Every writer of a cache file or name ref in a cache directory holds
- * the flock `<dir>/lock` from its temporary to its rename, and every
+ * ensureReplayCache(), the one writer of a cache directory, holds the
+ * flock `<dir>/lock` from its temporary to its rename, and every
  * process that opens the directory (jcached's trace repository,
  * jcache-sweep) sweeps the `*.tmp` files in it under that lock.  A
  * temporary seen under the lock therefore belongs to a writer that
@@ -89,7 +89,9 @@ std::string replayCachePath(const std::string& dir,
 void sweepReplayCacheDir(const std::string& dir);
 
 /**
- * Serialize `trace` as a JCRC file at `path` (atomic write).
+ * Serialize `trace` as a JCRC file at `path` (atomic write).  One
+ * walk over the records encodes them and computes the header's
+ * contentDigest().
  *
  * @param blockRecords  records per block; 0 is clamped to 1.
  */
@@ -97,24 +99,15 @@ void writeReplayCache(const Trace& trace, const std::string& path,
                       std::size_t blockRecords = kDefaultBlockRecords);
 
 /**
- * Ensure `dir` holds a replay cache for `trace` and return its path.
- * Creates the directory and writes `<contentDigest>.jcrc` when
- * missing, holding the directory lock from the temporary to the
- * rename; an existing file is trusted (the digest name is the
- * invalidation key) and left untouched.  The records are digested
- * once.
+ * Ensure `dir` holds a replay cache for `trace` and return its path,
+ * `<dir>/<contentDigest>.jcrc`.  One walk over the records encodes
+ * them and computes the digest that names the file.  Creates the
+ * directory and writes the file when it is missing, holding the
+ * directory lock from the temporary to the rename; an existing file
+ * is trusted (the digest name is the invalidation key) and left
+ * untouched.
  */
 std::string ensureReplayCache(const Trace& trace,
-                              const std::string& dir,
-                              std::size_t blockRecords = kDefaultBlockRecords);
-
-/**
- * ensureReplayCache() for a caller that already holds `digest`, the
- * trace's contentDigest(): it names the file and fills its header,
- * and the records are not digested again.
- */
-std::string ensureReplayCache(const Trace& trace,
-                              const std::string& digest,
                               const std::string& dir,
                               std::size_t blockRecords = kDefaultBlockRecords);
 

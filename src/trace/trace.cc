@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "trace/record_digest.hh"
 #include "util/bitops.hh"
 #include "util/digest.hh"
 #include "util/logging.hh"
@@ -18,13 +19,8 @@ std::string
 contentDigest(const Trace& trace)
 {
     std::uint64_t state = util::kFnvOffset;
-    for (const TraceRecord& r : trace) {
-        state = util::fnv1aValue(state, r.addr);
-        state = util::fnv1aValue(state, r.instrDelta);
-        state = util::fnv1aValue(state, r.size);
-        state = util::fnv1aValue(
-            state, static_cast<std::uint8_t>(r.type));
-    }
+    for (const TraceRecord& r : trace)
+        state = digestRecord(state, r);
     return util::hexDigest(state);
 }
 

@@ -58,11 +58,12 @@ class Trace
 };
 
 /**
- * FNV-1a 64 content digest of a trace's records, as fixed-width hex.
- * Hashes every field of every record in a fixed byte order (not the
- * in-memory layout), so the digest is stable across platforms and
- * struct padding.  Two traces share a digest iff a replay through
- * them is identical; the name does not participate.
+ * FNV-1a 64 content digest of a trace's records, as fixed-width hex
+ * (docs/TRACE_FORMAT.md defines it byte by byte).  Hashes every field
+ * of every record in a fixed byte order (not the in-memory layout),
+ * so the digest is stable across platforms and struct padding.  Two
+ * traces share a digest iff a replay through them is identical; the
+ * name does not participate.
  */
 std::string contentDigest(const Trace& trace);
 

@@ -14,8 +14,11 @@
 #ifndef JCACHE_UTIL_DIGEST_HH
 #define JCACHE_UTIL_DIGEST_HH
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 namespace jcache::util
 {
@@ -35,16 +38,44 @@ fnv1aByte(std::uint64_t state, std::uint8_t byte)
     return state;
 }
 
-/** Fold an integer into the state, least-significant byte first. */
+/** kFnvPrime^k for k = 0..8: k zero bytes fold into one multiply. */
+inline constexpr std::array<std::uint64_t, 9> kFnvPrimePowers = [] {
+    std::array<std::uint64_t, 9> powers{};
+    powers[0] = 1;
+    for (std::size_t k = 1; k < powers.size(); ++k)
+        powers[k] = powers[k - 1] * kFnvPrime;
+    return powers;
+}();
+
+/**
+ * Fold an unsigned integer into the state, least-significant byte
+ * first: the same state as sizeof(T) fnv1aByte() calls.
+ *
+ * A zero byte's xor changes nothing, so the high zero bytes above the
+ * most significant non-zero one join that byte's multiply as one
+ * multiply by a power of the prime; zero bytes below it are folded
+ * one by one.  A 3-byte address in an 8-byte field then costs three
+ * dependent multiplies instead of eight.
+ */
 template <typename T>
 inline std::uint64_t
 fnv1aValue(std::uint64_t state, T value)
 {
-    auto bits = static_cast<std::uint64_t>(value);
-    for (unsigned i = 0; i < sizeof(T); ++i)
-        state = fnv1aByte(state,
-                          static_cast<std::uint8_t>(bits >> (8 * i)));
-    return state;
+    static_assert(std::is_unsigned_v<T> && sizeof(T) <= 8);
+    if constexpr (sizeof(T) == 1) {
+        return fnv1aByte(state, value);
+    } else {
+        std::uint64_t bits = value;
+        if (bits == 0)
+            return state * kFnvPrimePowers[sizeof(T)];
+        const auto used =
+            static_cast<unsigned>((std::bit_width(bits) + 7) / 8);
+        for (unsigned i = 1; i < used; ++i) {
+            state = fnv1aByte(state, static_cast<std::uint8_t>(bits));
+            bits >>= 8;
+        }
+        return (state ^ bits) * kFnvPrimePowers[sizeof(T) - used + 1];
+    }
 }
 
 /** FNV-1a 64 of a byte string, from the standard offset basis. */

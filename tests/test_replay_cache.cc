@@ -313,19 +313,19 @@ TEST(ReplayCache, WidestRecordsMatchTheFormatByteForByte)
     EXPECT_EQ(drain(cache), t.records());
 }
 
-TEST(ReplayCache, EnsureWithAKnownDigestWritesTheSameFile)
+TEST(ReplayCache, EnsureTrustsAnExistingFile)
 {
-    // Handing ensureReplayCache() the digest the caller already holds
-    // skips a second digest and changes no byte or name.
-    TempDir computed("jcache_replay_digest_computed");
-    TempDir given("jcache_replay_digest_given");
+    // The digest name is the invalidation key: whatever bytes sit
+    // under `<digest>.jcrc` are returned as they are, not rewritten,
+    // even though the trace was encoded to learn that name.
+    TempDir dir("jcache_replay_trusted");
+    fs::create_directories(dir.path);
     Trace trace = sampleTrace();
-    const std::string a = ensureReplayCache(trace, computed.path);
-    const std::string b =
-        ensureReplayCache(trace, contentDigest(trace), given.path);
-    EXPECT_EQ(fs::path(a).filename(), fs::path(b).filename());
-    EXPECT_EQ(readFile(a), readFile(b));
-    EXPECT_EQ(MappedReplayCache(b).identity(), traceIdentity(trace));
+    const std::string planted = "not the bytes the encoder writes";
+    const std::string path = replayCachePath(dir.path, contentDigest(trace));
+    writeFile(path, planted);
+    EXPECT_EQ(ensureReplayCache(trace, dir.path), path);
+    EXPECT_EQ(readFile(path), planted);
 }
 
 #ifdef __linux__

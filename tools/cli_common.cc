@@ -6,6 +6,7 @@
 #include "cli_common.hh"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 
@@ -14,17 +15,49 @@
 namespace jcache::tools
 {
 
-unsigned
-parseUnsigned(const std::string& value, const std::string& flag)
+namespace
+{
+
+template <typename T>
+T
+parseUnsignedAs(const std::string& value, const std::string& flag)
 {
     // from_chars refuses an empty value, a sign and whitespace, and
-    // reports a value past unsigned's range instead of wrapping it.
-    unsigned parsed = 0;
+    // reports a value past T's range instead of wrapping it.
+    T parsed = 0;
     const char* end = value.data() + value.size();
     auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
     fatalIf(ec != std::errc() || ptr != end,
             flag + " expects a non-negative integer, got '" + value +
                 "'");
+    return parsed;
+}
+
+} // namespace
+
+unsigned
+parseUnsigned(const std::string& value, const std::string& flag)
+{
+    return parseUnsignedAs<unsigned>(value, flag);
+}
+
+std::uint64_t
+parseUnsigned64(const std::string& value, const std::string& flag)
+{
+    return parseUnsignedAs<std::uint64_t>(value, flag);
+}
+
+double
+parseNonNegative(const std::string& value, const std::string& flag)
+{
+    // from_chars refuses an empty value, whitespace and a '+', but
+    // takes a '-', "nan" and "inf"; those are refused here.
+    double parsed = 0.0;
+    const char* end = value.data() + value.size();
+    auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+    fatalIf(ec != std::errc() || ptr != end || value.starts_with('-') ||
+                !std::isfinite(parsed),
+            flag + " expects a non-negative number, got '" + value + "'");
     return parsed;
 }
 

@@ -21,6 +21,7 @@
 #ifndef JCACHE_TOOLS_CLI_COMMON_HH
 #define JCACHE_TOOLS_CLI_COMMON_HH
 
+#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <string>
@@ -99,6 +100,20 @@ void writeJsonSink(const CommonFlags& flags,
  */
 unsigned parseUnsigned(const std::string& value,
                        const std::string& flag);
+
+/** parseUnsigned() for a value that must fit in 64 bits. */
+std::uint64_t parseUnsigned64(const std::string& value,
+                              const std::string& flag);
+
+/**
+ * Parse a finite, non-negative decimal number CLI value (`0`, `2.5`,
+ * `1e3`).
+ *
+ * @throws FatalError naming `flag` on an empty value, a sign,
+ *         whitespace, trailing bytes, NaN or infinity.
+ */
+double parseNonNegative(const std::string& value,
+                        const std::string& flag);
 
 } // namespace jcache::tools
 

@@ -53,7 +53,6 @@
  * resumes: rerun it with --incremental.
  */
 
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <memory>
@@ -191,8 +190,7 @@ main(int argc, char** argv)
             } else if (flag == "--trace-cache-dir") {
                 trace_cache_dir = value;
             } else if (flag == "--store-cap-bytes") {
-                store_cap_bytes =
-                    std::strtoull(value.c_str(), nullptr, 10);
+                store_cap_bytes = tools::parseUnsigned64(value, flag);
             } else if (flag == "--hit") {
                 auto policy = core::parseHitPolicy(value);
                 if (!policy)
@@ -232,10 +230,7 @@ main(int argc, char** argv)
         sim::AxisPoints points = sim::buildAxisPoints(axis, base);
 
         // One digest names the replay cache and keys the store.
-        const std::string digest =
-            trace_cache_dir.empty() && store_dir.empty()
-                ? std::string()
-                : trace::contentDigest(trace);
+        std::string digest;
 
         // With a replay-cache directory the one-pass engine replays
         // the mmap'd delta blocks instead of the in-memory records:
@@ -248,10 +243,13 @@ main(int argc, char** argv)
             // Temporaries of writers killed before their rename.
             trace::sweepReplayCacheDir(trace_cache_dir);
             std::string cache_path =
-                trace::ensureReplayCache(trace, digest, trace_cache_dir);
+                trace::ensureReplayCache(trace, trace_cache_dir);
+            digest = std::filesystem::path(cache_path).stem().string();
             mapped = std::make_unique<trace::MappedReplayCache>(
                 cache_path);
-            span.arg("digest", mapped->digest());
+            span.arg("digest", digest);
+        } else if (!store_dir.empty()) {
+            digest = trace::contentDigest(trace);
         }
 
         // One request per sweep point; results come back in point

@@ -67,7 +67,6 @@
 #include <algorithm>
 #include <atomic>
 #include <csignal>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -330,17 +329,17 @@ main(int argc, char** argv)
                 config.service.admission.mode = *mode;
             } else if (flag == "--admission-target-ms") {
                 config.service.admission.targetMillis =
-                    std::strtod(value.c_str(), nullptr);
+                    tools::parseNonNegative(value, flag);
             } else if (flag == "--admission-interval-ms") {
                 config.service.admission.intervalMillis =
-                    std::strtod(value.c_str(), nullptr);
+                    tools::parseNonNegative(value, flag);
             } else if (flag == "--store-dir") {
                 config.service.storeDir = value;
             } else if (flag == "--trace-cache-dir") {
                 config.service.traceCacheDir = value;
             } else if (flag == "--store-cap-bytes") {
                 config.service.storeCapBytes =
-                    std::strtoull(value.c_str(), nullptr, 10);
+                    tools::parseUnsigned64(value, flag);
             } else if (flag == "--metrics-port") {
                 opt.metrics = true;
                 opt.metricsPort = parsePort(value, flag);
